@@ -5,16 +5,17 @@
 //!   the per-round cost every sweep cell pays hundreds of times.
 //! * `cluster_sim/run_to_completion` — a whole small-trace run, the unit
 //!   the `SweepRunner` fans out across worker threads.
-//! * `cluster_sim/build_100k` — world construction (arena interning of
-//!   every job/task slot) for the 100,000-job stress tier: the fixed
-//!   cost a huge cell pays before its first event.
+//! * `cluster_sim/build_100k` — world construction for the 100,000-job
+//!   stress tier: the fixed cost a huge cell pays before its first
+//!   event. Jobs are interned as they arrive, so this is the fault plan
+//!   plus the first pull and should not grow with the trace.
 //! * `cluster_sim/steady_churn` — 100 events through a *warm* sim (past
 //!   its third round), where completions, reschedules, and incremental
 //!   integral updates dominate instead of arrival setup. This is the
 //!   regime the dirty-set O(changed) hot loop targets.
 //! * `cluster_sim/ingest_retire` — a steady-state streaming run: jobs
-//!   pulled one ingest ahead from the open-loop generator with
-//!   `retire_completed` on, so every completion recycles arena slots.
+//!   pulled one ingest ahead from the open-loop generator, every
+//!   completion recycling its arena slots.
 //!   Reported per-run; divide by the job count for ns/job through the
 //!   full ingest → schedule → complete → retire cycle of `eva serve`.
 
@@ -104,11 +105,10 @@ fn bench_build_100k(c: &mut Criterion) {
 fn bench_ingest_retire(c: &mut Criterion) {
     // 300 jobs at the dense 3-minute interarrival keeps a steady
     // in-flight window churning through slot recycling.
-    let mut cfg = SimConfig::new(
+    let cfg = SimConfig::new(
         TraceHandle::new(Trace::new(Vec::new())),
         SchedulerKind::Stratus,
     );
-    cfg.retire_completed = true;
     let src_cfg = SyntheticTraceConfig {
         num_jobs: 300,
         mean_interarrival: SimDuration::from_mins(3),

@@ -12,15 +12,15 @@
 //!   the five §6.1 schedulers × two seeds) through the multi-threaded
 //!   [`SweepRunner`] with caching disabled: cells per second.
 //! * `huge_100k` — the 100,000-job stress tier simulated end to end on
-//!   one cell (Stratus): jobs per second. This is the CI release-smoke
-//!   target. Runs in a spawned child process so its `VmHWM` is the
+//!   one cell (Stratus) from a materialized trace: jobs per second. This
+//!   is the CI release-smoke target. Runs in a spawned child process so its `VmHWM` is the
 //!   probe's own high-water mark, not the parent's lifetime one.
-//! * `huge_1m` (`--full`) — the million-job tier through the
-//!   *streaming* path: jobs pulled from the seeded generator via
-//!   [`ClusterSim::from_source`] with `retire_completed` on, so arena
-//!   rows track the in-flight window. Also a child process; its peak
-//!   RSS must come in *below* the batch 100k tier's despite 10× the
-//!   jobs — that drop is the point of the streaming service mode.
+//! * `huge_1m` (`--full`) — the million-job tier pulled straight from
+//!   the seeded generator via [`ClusterSim::from_source`], so neither
+//!   the trace nor the arena (whose rows track the in-flight window)
+//!   ever materializes a million jobs. Also a child process; its peak
+//!   RSS must come in *below* the 100k tier's despite 10× the jobs —
+//!   the 100k tier holds its whole trace in memory, this one holds none.
 //! * `serve` — the service loop end to end ([`eva_sim::serve()`] over an
 //!   open-loop synthetic source, rolling metrics into a sink):
 //!   sustained jobs per second and the RSS plateau of a long-lived
@@ -334,17 +334,15 @@ fn probe_huge(cfg: SyntheticTraceConfig) -> HugeProbe {
 /// An empty-trace config for streaming worlds (jobs arrive via a
 /// [`JobSource`](eva_workloads::JobSource), not the trace).
 fn streaming_cfg() -> SimConfig {
-    let mut cfg = SimConfig::new(
+    SimConfig::new(
         TraceHandle::new(Trace::new(Vec::new())),
         SchedulerKind::Stratus,
-    );
-    cfg.retire_completed = true;
-    cfg
+    )
 }
 
-/// The million-job tier through the streaming path: jobs pulled from
-/// the seeded generator one ingest ahead, completed jobs retired, so
-/// neither the trace nor the arena ever materializes a million rows.
+/// The million-job tier straight from the generator: jobs pulled one
+/// ingest ahead, completed jobs retired, so neither the trace nor the
+/// arena ever materializes a million rows.
 fn probe_huge_streaming(cfg: SyntheticTraceConfig) -> HugeProbe {
     let jobs = cfg.num_jobs;
     let source = Box::new(SyntheticSource::new(&cfg, 42));
@@ -585,15 +583,16 @@ fn check_snapshot(path: &str) -> Result<(), String> {
         return Err("huge_100k probe must report heap churn counters".to_string());
     }
     if let Some(huge_1m) = &snap.huge_1m {
-        // The v4 million-job tier streams with retirement; its own
-        // high-water mark must undercut the *batch* 100k tier's despite
-        // 10× the jobs. Only checkable where /proc exists on both.
+        // The v4 million-job tier streams from the generator; its own
+        // high-water mark must undercut the materialized-trace 100k
+        // tier's despite 10× the jobs. Only checkable where /proc exists
+        // on both.
         if huge_1m.peak_rss_mb > 0
             && snap.huge_100k.peak_rss_mb > 0
             && huge_1m.peak_rss_mb >= snap.huge_100k.peak_rss_mb
         {
             return Err(format!(
-                "huge_1m streamed {} MiB, not below the batch 100k tier's {} MiB — \
+                "huge_1m streamed {} MiB, not below the 100k tier's {} MiB — \
                  retirement is not bounding memory",
                 huge_1m.peak_rss_mb, snap.huge_100k.peak_rss_mb
             ));
@@ -640,8 +639,9 @@ fn main() {
                     Some("100k") => probe_huge(SyntheticTraceConfig::huge_100k()),
                     Some("1m") => probe_huge_streaming(SyntheticTraceConfig::huge_1m()),
                     // Diagnostic tier (not in the snapshot): the 100k
-                    // config through the streaming path, for bisecting
-                    // memory growth against the batch 100k probe.
+                    // config pulled from the generator, for bisecting
+                    // memory growth against the materialized-trace 100k
+                    // probe.
                     Some("100k-stream") => probe_huge_streaming(SyntheticTraceConfig::huge_100k()),
                     other => {
                         eprintln!("error: --huge-worker needs 100k or 1m, got {other:?}");
@@ -758,15 +758,15 @@ fn main() {
     );
 
     let huge_1m = full.then(|| {
-        println!("   probing huge-1m (Stratus, streaming + retirement, child process)...");
+        println!("   probing huge-1m (Stratus, streamed from the generator, child process)...");
         let p: HugeProbe = spawn_probe(&["--huge-worker", "1m"]);
         println!(
-            "   {} jobs in {:.1}s ({:.0} jobs/s, {} MiB peak vs {} MiB for batch 100k)",
+            "   {} jobs in {:.1}s ({:.0} jobs/s, {} MiB peak vs {} MiB for the 100k tier)",
             p.jobs_completed, p.wall_secs, p.jobs_per_sec, p.peak_rss_mb, after_huge_100k
         );
         if p.peak_rss_mb > 0 && after_huge_100k > 0 && p.peak_rss_mb >= after_huge_100k {
             eprintln!(
-                "warning: streamed million-job tier did not undercut the batch \
+                "warning: streamed million-job tier did not undercut the \
                  100k tier's peak RSS — retirement is not bounding memory"
             );
         }

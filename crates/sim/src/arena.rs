@@ -3,38 +3,39 @@
 //! The world model used to key every per-event touch of job/task/instance
 //! state through `BTreeMap` lookups — O(log n) pointer-chasing on the
 //! hottest path in the repo. IDs are newtyped integers, so instead the
-//! world interns them into contiguous `u32` slots at construction:
+//! world interns them into contiguous `u32` slots as jobs arrive
+//! ([`WorldArena::intern_job`]) and events carry slots, not IDs:
 //!
-//! * **job slots** are assigned in ascending [`JobId`] order, so walking
-//!   `0..len` visits jobs exactly as the old `BTreeMap<JobId, _>`
-//!   iteration did — float accumulation order (and therefore report
-//!   bytes) is preserved;
-//! * **task slots** are job-major and ascending by [`TaskId`] within a
-//!   job, so each job's tasks form one contiguous slot range and a
-//!   sorted task-slot list is sorted by `TaskId`;
+//! * **job slots** are handed out at ingestion and recycled through a
+//!   free list once a completed job has folded its report contribution
+//!   into the host's completed-job log ([`JobArena::release`]), so a
+//!   world holds state for the in-flight window only, not for every job
+//!   ever ingested. Slot order is therefore *not* ID order; a side
+//!   [`JobArena::lookup`] map resolves IDs, and every iteration that
+//!   feeds a float accumulation or an event push orders by ID instead:
+//!   the active set is kept sorted by [`JobId`], and the host drains
+//!   its dirty list in ID order;
+//! * **task slots** are job-major: each job owns one contiguous slot
+//!   range (ascending [`TaskId`] within it), recycled whole through
+//!   exact-fit free ranges, with a [`TaskArena::lookup`] map for IDs;
 //! * **instance slots** are allocated when the provider provisions and
 //!   recycled through a free list when instances retire — per-instance
 //!   state (mapped tasks, busy-until, straggle factor) lives in parallel
 //!   `Vec`s indexed by slot, with a dense `InstanceId → slot` table on
-//!   the side (provider IDs are sequential);
-//! * **job slots recycle too** when retirement is enabled: a completed
-//!   job folds its report contribution into the host's completed-job
-//!   log, releases its task range, and returns its slot through
-//!   [`JobArena::release`] — the same free-list discipline as
-//!   instances — so a long-lived streaming world holds state for the
-//!   in-flight window only, not for every job ever ingested. Streaming
-//!   worlds intern jobs out of ID order as they arrive
-//!   ([`WorldArena::intern_job`]), so they carry side `BTreeMap`
-//!   lookups in place of the sorted-lane binary search, and the active
-//!   set orders by *ID* (identical to slot order whenever slots were
-//!   interned in ID order, which keeps batch bytes unchanged).
+//!   the side (provider IDs are sequential). Each instance's mapped-task
+//!   list is kept sorted by [`TaskId`], not by task slot: interference
+//!   products and the scheduler's co-location contexts are built in
+//!   that order, and a float product depends on it.
+//!
+//! Ordering by ID everywhere reproduces exactly the sequence the former
+//! `BTreeMap`-keyed world produced, so reports are byte-identical no
+//! matter how slots recycle.
 //!
 //! Dynamic state is stored as structure-of-arrays `Vec`s: the per-event
 //! integration loop touches `remaining_hours`/`tput_integral`/… as flat
-//! `f64` lanes instead of chasing map nodes. Job and task *specs* are
-//! never cloned — slots carry indices into the shared trace, so a
-//! million-job world costs a few flat vectors, not a second copy of the
-//! trace.
+//! `f64` lanes instead of chasing map nodes. Each job slot owns its
+//! spec ([`JobArena::owned`]) and drops it on release, so a long run
+//! holds specs for the in-flight window only.
 //!
 //! The reference semantics of a single job/task (advance arithmetic,
 //! lifecycle states) remain specified — and unit-tested — by
@@ -67,8 +68,8 @@
 //!    rate is current — `advance_to` never needs to settle anything.
 //! 3. **Cursor bounds.** `settled[j] <= seg_log.len()` for every active
 //!    job; done jobs may hold stale cursors (their lanes are frozen —
-//!    `advance` ignores them), and not-yet-arrived jobs get their
-//!    cursor pinned to the log head at activation.
+//!    `advance` ignores them), and arriving jobs get their cursor
+//!    pinned to the log head at activation.
 //! 4. **Flags mirror the list.** `dirty[j]` ⇔ `j ∈ dirty_list`, and
 //!    only arrived, not-done jobs are ever flagged.
 //!
@@ -81,30 +82,23 @@
 use std::collections::BTreeMap;
 
 use eva_types::{InstanceId, JobId, JobSpec, SimTime, TaskId, WorkloadKind};
-use eva_workloads::Trace;
 
 use crate::state::TaskState;
 
 /// Sentinel for "no slot" in `u32` slot references.
 pub(crate) const NO_SLOT: u32 = u32::MAX;
 
-/// Job state, slot-indexed in ascending [`JobId`] order.
-#[derive(Debug)]
+/// Job state, slot-indexed; slots recycle (see the module docs).
+#[derive(Debug, Default)]
 pub(crate) struct JobArena {
-    /// Slot → job ID (ascending when interned from a trace; streaming
-    /// worlds recycle slots and rely on [`Self::lookup`] instead).
+    /// Slot → job ID (stale on released slots until reuse).
     pub ids: Vec<JobId>,
-    /// Slot → index of the job's spec in the trace's job vector
-    /// ([`NO_SLOT`] for streamed jobs, whose specs live in
-    /// [`Self::owned`]).
-    pub spec_idx: Vec<u32>,
     /// Slot → first task slot of the job's contiguous task range.
     pub task_start: Vec<u32>,
     /// Slot → length of the job's task range.
     pub task_count: Vec<u32>,
-    /// Owned specs for jobs interned from a stream (batch worlds leave
-    /// this empty and index the shared trace through `spec_idx`).
-    /// Boxed so releasing a slot actually reclaims the spec's memory.
+    /// Slot → the job's spec (`None` once released). Boxed so releasing
+    /// a slot actually reclaims the spec's memory.
     pub owned: Vec<Option<Box<JobSpec>>>,
     /// Total work in full-throughput hours (the spec duration, cached).
     pub total_hours: Vec<f64>,
@@ -122,9 +116,9 @@ pub(crate) struct JobArena {
     pub completion_gen: Vec<u64>,
     /// Whether the job's arrival event has fired.
     pub arrived: Vec<bool>,
-    /// Arrived-and-not-done job slots, kept sorted (ascending slot ==
-    /// ascending `JobId`): the iteration set of every per-event loop,
-    /// so done and not-yet-arrived jobs cost nothing per event.
+    /// Arrived-and-not-done job slots, kept sorted by `JobId`: the
+    /// iteration set of every per-event loop, so done jobs cost nothing
+    /// per event.
     pub active: Vec<u32>,
     /// Cached effective throughput, refreshed whenever the job is
     /// recomputed (dirty-set invariant 2 in the module docs).
@@ -149,18 +143,14 @@ pub(crate) struct JobArena {
     /// Recycled job slots awaiting reuse (mirrors the instance arena's
     /// free list).
     pub free: Vec<u32>,
-    /// `JobId → slot` map, maintained only for streaming worlds where
-    /// slot recycling breaks the sorted-lane binary search.
-    pub lookup: Option<BTreeMap<JobId, u32>>,
+    /// `JobId → slot` map over the jobs the world currently holds.
+    pub lookup: BTreeMap<JobId, u32>,
 }
 
 impl JobArena {
     /// Slot of `id`, if the world currently holds it.
     pub fn slot_of(&self, id: JobId) -> Option<u32> {
-        match &self.lookup {
-            Some(map) => map.get(&id).copied(),
-            None => self.ids.binary_search(&id).ok().map(|s| s as u32),
-        }
+        self.lookup.get(&id).copied()
     }
 
     /// True once the job has no work left.
@@ -176,9 +166,8 @@ impl JobArena {
 
     /// Position of `slot` in the ID-ordered active set (`Ok` when
     /// listed). Ordering by ID keeps iteration — and therefore float
-    /// accumulation — in `JobId` order even when recycled slots are
-    /// interned out of order; with trace interning, slot order *is* ID
-    /// order and this degenerates to the old slot-ordered search.
+    /// accumulation — in `JobId` order even though recycled slots are
+    /// interned out of order.
     fn active_pos(&self, slot: u32) -> Result<usize, usize> {
         let key = self.ids[slot as usize];
         let ids = &self.ids;
@@ -215,9 +204,7 @@ impl JobArena {
         debug_assert!(self.completed_at[s].is_some(), "releasing an unfinished job");
         debug_assert!(!self.dirty[s], "releasing a dirty job");
         debug_assert!(self.active_pos(slot).is_err(), "releasing an active job");
-        if let Some(map) = self.lookup.as_mut() {
-            map.remove(&self.ids[s]);
-        }
+        self.lookup.remove(&self.ids[s]);
         self.arrived[s] = false;
         self.completed_at[s] = None;
         self.scheduled_done_at[s] = None;
@@ -228,9 +215,7 @@ impl JobArena {
         self.tput_integral[s] = 0.0;
         self.rate[s] = 0.0;
         self.settled[s] = 0;
-        if let Some(spec) = self.owned.get_mut(s) {
-            *spec = None;
-        }
+        self.owned[s] = None;
         self.released[s] = true;
         self.free.push(slot);
     }
@@ -320,10 +305,11 @@ impl JobArena {
     }
 }
 
-/// Task state, slot-indexed job-major in ascending [`TaskId`] order.
-#[derive(Debug)]
+/// Task state, slot-indexed job-major: each job owns one contiguous
+/// range, ascending by [`TaskId`] within it.
+#[derive(Debug, Default)]
 pub(crate) struct TaskArena {
-    /// Slot → task ID (ascending; slot order is ID order).
+    /// Slot → task ID (stale on free ranges until reuse).
     pub ids: Vec<TaskId>,
     /// Slot → owning job's slot.
     pub job_slot: Vec<u32>,
@@ -343,9 +329,8 @@ pub(crate) struct TaskArena {
     /// `slot_by_pos[task_start[j] + pos]` (identity whenever spec tasks
     /// are declared in index order, which every generator does).
     pub slot_by_pos: Vec<u32>,
-    /// `TaskId → slot` map, maintained only for streaming worlds (see
-    /// [`JobArena::lookup`]).
-    pub lookup: Option<BTreeMap<TaskId, u32>>,
+    /// `TaskId → slot` map over the tasks the world currently holds.
+    pub lookup: BTreeMap<TaskId, u32>,
     /// Released task ranges awaiting exact-fit reuse: range length →
     /// start slots. Jobs release their whole contiguous range at once,
     /// so recycling preserves the job-major contiguity invariant.
@@ -355,10 +340,7 @@ pub(crate) struct TaskArena {
 impl TaskArena {
     /// Slot of `id`, if the world currently holds it.
     pub fn slot_of(&self, id: TaskId) -> Option<u32> {
-        match &self.lookup {
-            Some(map) => map.get(&id).copied(),
-            None => self.ids.binary_search(&id).ok().map(|s| s as u32),
-        }
+        self.lookup.get(&id).copied()
     }
 
     /// True when the task currently computes (and therefore interferes).
@@ -377,8 +359,9 @@ pub(crate) struct InstArena {
     slot_by_id: Vec<u32>,
     /// Slot → instance ID (meaningful only while the slot is live).
     pub ids: Vec<InstanceId>,
-    /// Slot → mapped task slots, kept sorted (ascending task slot ==
-    /// ascending `TaskId`, preserving co-location iteration order).
+    /// Slot → mapped task slots, kept sorted by `TaskId` (the
+    /// co-location iteration order; task slots recycle, so slot order
+    /// is not ID order).
     pub tasks: Vec<Vec<u32>>,
     /// Slot → departure-checkpoint barrier ([`SimTime::ZERO`] = unset).
     pub busy_until: Vec<SimTime>,
@@ -439,12 +422,13 @@ impl InstArena {
         self.free.push(slot);
     }
 
-    /// Maps a task slot onto an instance slot (sorted insert); returns
-    /// whether the mapping was actually added, so callers can keep the
-    /// incremental allocation rates in lockstep.
-    pub fn attach(&mut self, slot: u32, task: u32) -> bool {
+    /// Maps a task slot onto an instance slot (insert sorted by
+    /// `task_ids`, the task arena's ID lane); returns whether the
+    /// mapping was actually added, so callers can keep the incremental
+    /// allocation rates in lockstep.
+    pub fn attach(&mut self, slot: u32, task: u32, task_ids: &[TaskId]) -> bool {
         let list = &mut self.tasks[slot as usize];
-        match list.binary_search(&task) {
+        match list.binary_search_by_key(&task_ids[task as usize], |&t| task_ids[t as usize]) {
             Err(pos) => {
                 list.insert(pos, task);
                 true
@@ -453,11 +437,12 @@ impl InstArena {
         }
     }
 
-    /// Unmaps a task slot from an instance slot; returns whether the
-    /// mapping was actually removed.
-    pub fn detach(&mut self, slot: u32, task: u32) -> bool {
+    /// Unmaps a task slot from an instance slot (located by `task_ids`,
+    /// as in [`Self::attach`]); returns whether the mapping was actually
+    /// removed.
+    pub fn detach(&mut self, slot: u32, task: u32, task_ids: &[TaskId]) -> bool {
         let list = &mut self.tasks[slot as usize];
-        match list.binary_search(&task) {
+        match list.binary_search_by_key(&task_ids[task as usize], |&t| task_ids[t as usize]) {
             Ok(pos) => {
                 list.remove(pos);
                 true
@@ -479,19 +464,17 @@ impl InstArena {
 }
 
 /// The complete interned world state: jobs + tasks + instances.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct WorldArena {
     pub jobs: JobArena,
     pub tasks: TaskArena,
     pub insts: InstArena,
-    /// Trace job index → job slot (arrival events carry trace indices).
-    pub slot_of_spec: Vec<u32>,
 }
 
 impl WorldArena {
     /// Element counts of every growable structure, for memory
-    /// diagnosis (the streaming tiers must keep all of these bounded
-    /// by the in-flight window, not total jobs ingested).
+    /// diagnosis (long runs must keep all of these bounded by the
+    /// in-flight window, not total jobs ingested).
     #[doc(hidden)]
     pub fn dims(&self) -> String {
         let task_free: usize = self
@@ -502,145 +485,24 @@ impl WorldArena {
             .sum();
         format!(
             "job_rows={} job_free={} job_lookup={} task_rows={} task_free_ranges={} \
-             task_lookup={} inst_rows={} inst_id_space={} seg_log={} slot_of_spec={}",
+             task_lookup={} inst_rows={} inst_id_space={} seg_log={}",
             self.jobs.ids.len(),
             self.jobs.free.len(),
-            self.jobs.lookup.as_ref().map_or(0, |m| m.len()),
+            self.jobs.lookup.len(),
             self.tasks.ids.len(),
             task_free,
-            self.tasks.lookup.as_ref().map_or(0, |m| m.len()),
+            self.tasks.lookup.len(),
             self.insts.ids.len(),
             self.insts.id_space(),
             self.jobs.seg_log.len(),
-            self.slot_of_spec.len(),
         )
     }
 
-    /// Interns every job and task ID of `trace` into slots. All dynamic
-    /// state starts at its pre-arrival default; instances intern lazily
-    /// as the provider provisions them.
-    pub fn from_trace(trace: &Trace) -> Self {
-        let specs = trace.jobs();
-        let n = specs.len();
-        let total_tasks: usize = specs.iter().map(|j| j.tasks.len()).sum();
-
-        // Job slots in ascending JobId order (the trace is arrival-
-        // ordered, which usually — but not necessarily — coincides).
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&i| specs[i as usize].id);
-
-        let mut jobs = JobArena {
-            ids: Vec::with_capacity(n),
-            spec_idx: Vec::with_capacity(n),
-            task_start: Vec::with_capacity(n),
-            task_count: Vec::with_capacity(n),
-            owned: Vec::new(),
-            total_hours: Vec::with_capacity(n),
-            remaining_hours: Vec::with_capacity(n),
-            executing_hours: vec![0.0; n],
-            idle_hours: vec![0.0; n],
-            tput_integral: vec![0.0; n],
-            completed_at: vec![None; n],
-            completion_gen: vec![0; n],
-            arrived: vec![false; n],
-            active: Vec::new(),
-            rate: vec![0.0; n],
-            settled: vec![0; n],
-            dirty: vec![false; n],
-            dirty_list: Vec::new(),
-            scheduled_done_at: vec![None; n],
-            seg_log: Vec::new(),
-            released: vec![false; n],
-            free: Vec::new(),
-            lookup: None,
-        };
-        let mut tasks = TaskArena {
-            ids: Vec::with_capacity(total_tasks),
-            job_slot: Vec::with_capacity(total_tasks),
-            spec_pos: Vec::with_capacity(total_tasks),
-            workload: Vec::with_capacity(total_tasks),
-            state: vec![TaskState::Pending; total_tasks],
-            assigned: vec![NO_SLOT; total_tasks],
-            migrations: vec![0; total_tasks],
-            gen: vec![0; total_tasks],
-            slot_by_pos: vec![0; total_tasks],
-            lookup: None,
-            free_ranges: BTreeMap::new(),
-        };
-        let mut slot_of_spec = vec![0u32; n];
-
-        for (slot, &si) in order.iter().enumerate() {
-            let spec = &specs[si as usize];
-            debug_assert!(
-                jobs.ids.last().is_none_or(|last| *last < spec.id),
-                "duplicate job id {} in trace",
-                spec.id
-            );
-            slot_of_spec[si as usize] = slot as u32;
-            jobs.ids.push(spec.id);
-            jobs.spec_idx.push(si);
-            jobs.task_start.push(tasks.ids.len() as u32);
-            jobs.task_count.push(spec.tasks.len() as u32);
-            let total = spec.duration_at_full_tput.as_hours_f64();
-            jobs.total_hours.push(total);
-            jobs.remaining_hours.push(total);
-
-            // Task slots ascending by TaskId within the job (generators
-            // declare tasks in index order, but don't assume it).
-            let base = tasks.ids.len() as u32;
-            let mut positions: Vec<u32> = (0..spec.tasks.len() as u32).collect();
-            positions.sort_by_key(|&p| spec.tasks[p as usize].id);
-            for (k, &pos) in positions.iter().enumerate() {
-                let t = &spec.tasks[pos as usize];
-                debug_assert_eq!(t.id.job, spec.id, "task under foreign job");
-                let tslot = base + k as u32;
-                tasks.ids.push(t.id);
-                tasks.job_slot.push(slot as u32);
-                tasks.spec_pos.push(pos);
-                tasks.workload.push(t.workload);
-                tasks.slot_by_pos[(base + pos) as usize] = tslot;
-            }
-        }
-        debug_assert!(tasks.ids.windows(2).all(|w| w[0] < w[1]));
-
-        WorldArena {
-            jobs,
-            tasks,
-            insts: InstArena::default(),
-            slot_of_spec,
-        }
-    }
-
-    /// Switches the world to streaming mode: job and task ID lookups go
-    /// through side maps (slot recycling breaks the sorted-lane binary
-    /// search) and [`Self::intern_job`] becomes legal. Call before any
-    /// streamed intern; existing slots seed the maps.
-    pub fn enable_streaming(&mut self) {
-        self.jobs.lookup = Some(
-            self.jobs
-                .ids
-                .iter()
-                .enumerate()
-                .map(|(s, &id)| (id, s as u32))
-                .collect(),
-        );
-        self.tasks.lookup = Some(
-            self.tasks
-                .ids
-                .iter()
-                .enumerate()
-                .map(|(s, &id)| (id, s as u32))
-                .collect(),
-        );
-    }
-
-    /// Interns one streamed job, recycling a released job slot and an
+    /// Interns one arriving job, recycling a released job slot and an
     /// exact-fit released task range when available, appending fresh
     /// lanes otherwise. The spec is owned by the slot (released with
     /// it); all dynamic state starts at its pre-arrival default.
-    /// Requires [`Self::enable_streaming`].
     pub fn intern_job(&mut self, spec: JobSpec) -> u32 {
-        debug_assert!(self.jobs.lookup.is_some(), "streaming intern without lookup maps");
         let n_tasks = spec.tasks.len() as u32;
         let jobs = &mut self.jobs;
         let jslot = match jobs.free.pop() {
@@ -652,7 +514,7 @@ impl WorldArena {
             None => {
                 let s = jobs.ids.len() as u32;
                 jobs.ids.push(spec.id);
-                jobs.spec_idx.push(NO_SLOT);
+                jobs.owned.push(None);
                 jobs.task_start.push(0);
                 jobs.task_count.push(0);
                 jobs.total_hours.push(0.0);
@@ -671,9 +533,6 @@ impl WorldArena {
                 s
             }
         };
-        while jobs.owned.len() <= jslot as usize {
-            jobs.owned.push(None);
-        }
         let base = match self
             .tasks
             .free_ranges
@@ -700,19 +559,16 @@ impl WorldArena {
 
         let js = jslot as usize;
         jobs.ids[js] = spec.id;
-        jobs.spec_idx[js] = NO_SLOT;
         jobs.task_start[js] = base;
         jobs.task_count[js] = n_tasks;
         let total = spec.duration_at_full_tput.as_hours_f64();
         jobs.total_hours[js] = total;
         jobs.remaining_hours[js] = total;
-        if let Some(map) = jobs.lookup.as_mut() {
-            let prev = map.insert(spec.id, jslot);
-            debug_assert!(prev.is_none(), "duplicate streamed job id {}", spec.id);
-        }
+        let prev = jobs.lookup.insert(spec.id, jslot);
+        debug_assert!(prev.is_none(), "duplicate job id {}", spec.id);
 
-        // Task slots ascending by TaskId within the job, as in
-        // `from_trace`.
+        // Task slots ascending by TaskId within the job (generators
+        // declare tasks in index order, but don't assume it).
         let mut positions: Vec<u32> = (0..n_tasks).collect();
         positions.sort_by_key(|&p| spec.tasks[p as usize].id);
         for (k, &pos) in positions.iter().enumerate() {
@@ -728,9 +584,7 @@ impl WorldArena {
             self.tasks.assigned[ts] = NO_SLOT;
             self.tasks.migrations[ts] = 0;
             self.tasks.slot_by_pos[(base + pos) as usize] = tslot;
-            if let Some(map) = self.tasks.lookup.as_mut() {
-                map.insert(t.id, tslot);
-            }
+            self.tasks.lookup.insert(t.id, tslot);
         }
         jobs.owned[js] = Some(Box::new(spec));
         jslot
@@ -749,9 +603,7 @@ impl WorldArena {
             self.tasks.migrations[t] = 0;
             // `gen` stays monotone so stale readiness events can never
             // validate against a recycled task slot.
-            if let Some(map) = self.tasks.lookup.as_mut() {
-                map.remove(&self.tasks.ids[t]);
-            }
+            self.tasks.lookup.remove(&self.tasks.ids[t]);
         }
         if len > 0 {
             self.tasks.free_ranges.entry(len).or_default().push(base);
@@ -861,7 +713,8 @@ impl WorldArena {
             }
             let inst = self.tasks.assigned[slot];
             if inst != NO_SLOT {
-                let mapped = self.insts.tasks[inst as usize].binary_search(&(slot as u32));
+                let mapped = self.insts.tasks[inst as usize]
+                    .binary_search_by_key(&id, |&t| self.tasks.ids[t as usize]);
                 let done = self.tasks.state[slot] == TaskState::Done;
                 if mapped.is_err() && !done {
                     return Err(format!("task {id} assigned to slot {inst} but unmapped"));
@@ -874,8 +727,11 @@ impl WorldArena {
                 return Err(format!("instance {id} does not round-trip slot {slot}"));
             }
             let list = &self.insts.tasks[slot as usize];
-            if !list.windows(2).all(|w| w[0] < w[1]) {
-                return Err(format!("instance {id} task list unsorted"));
+            if !list
+                .windows(2)
+                .all(|w| self.tasks.ids[w[0] as usize] < self.tasks.ids[w[1] as usize])
+            {
+                return Err(format!("instance {id} task list out of TaskId order"));
             }
             for &t in list {
                 if self.tasks.assigned[t as usize] != slot {
@@ -894,27 +750,41 @@ mod tests {
     use super::*;
     use eva_workloads::SyntheticTraceConfig;
 
+    /// A world with every job of a small synthetic trace interned, and
+    /// the specs in slot order.
+    fn interned(seed: u64) -> (WorldArena, Vec<JobSpec>) {
+        let specs = SyntheticTraceConfig::small_scale().generate(seed).into_jobs();
+        let mut world = WorldArena::default();
+        for (slot, spec) in specs.iter().enumerate() {
+            assert_eq!(world.intern_job(spec.clone()), slot as u32);
+        }
+        (world, specs)
+    }
+
+    fn reid(mut spec: JobSpec, id: JobId) -> JobSpec {
+        spec.id = id;
+        for (i, t) in spec.tasks.iter_mut().enumerate() {
+            t.id = TaskId::new(id, i as u32);
+        }
+        spec
+    }
+
     #[test]
-    fn interning_orders_slots_by_id() {
-        let trace = SyntheticTraceConfig::small_scale().generate(42);
-        let world = WorldArena::from_trace(&trace);
-        assert_eq!(world.jobs.ids.len(), trace.len());
-        assert!(world.jobs.ids.windows(2).all(|w| w[0] < w[1]));
-        assert!(world.tasks.ids.windows(2).all(|w| w[0] < w[1]));
-        // Every trace index round-trips through its slot.
-        for (idx, spec) in trace.jobs().iter().enumerate() {
-            let slot = world.slot_of_spec[idx];
-            assert_eq!(world.jobs.ids[slot as usize], spec.id);
-            assert_eq!(world.jobs.spec_idx[slot as usize] as usize, idx);
-            assert_eq!(world.jobs.task_range(slot).len(), spec.tasks.len());
+    fn interning_round_trips_ids_through_slots() {
+        let (world, specs) = interned(42);
+        for (slot, spec) in specs.iter().enumerate() {
+            let slot = slot as u32;
+            assert_eq!(world.jobs.slot_of(spec.id), Some(slot));
+            let range = world.jobs.task_range(slot);
+            assert_eq!(range.len(), spec.tasks.len());
+            assert!(world.tasks.ids[range].windows(2).all(|w| w[0] < w[1]));
         }
         world.audit().unwrap();
     }
 
     #[test]
     fn instance_slots_recycle_through_free_list() {
-        let trace = SyntheticTraceConfig::small_scale().generate(1);
-        let mut world = WorldArena::from_trace(&trace);
+        let (mut world, _) = interned(1);
         let a = world.insts.ensure(InstanceId(0));
         let b = world.insts.ensure(InstanceId(1));
         assert_ne!(a, b);
@@ -934,8 +804,7 @@ mod tests {
 
     #[test]
     fn active_set_tracks_arrival_and_retirement_in_id_order() {
-        let trace = SyntheticTraceConfig::small_scale().generate(3);
-        let mut world = WorldArena::from_trace(&trace);
+        let (mut world, _) = interned(3);
         world.jobs.activate(5);
         world.jobs.activate(1);
         world.jobs.activate(3);
@@ -949,10 +818,9 @@ mod tests {
     #[test]
     fn arena_advance_matches_reference_job_progress() {
         use crate::state::JobProgress;
-        let trace = SyntheticTraceConfig::small_scale().generate(9);
-        let mut world = WorldArena::from_trace(&trace);
-        let spec = trace.jobs()[0].clone();
-        let slot = world.slot_of_spec[0];
+        let (mut world, specs) = interned(9);
+        let spec = specs[0].clone();
+        let slot = 0;
         let mut reference = JobProgress::new(spec);
         for (dt, tput) in [(0.25, 1.0), (0.5, 0.0), (1.0, 0.8), (4.0, 1.0)] {
             reference.advance(dt, tput);
@@ -968,10 +836,9 @@ mod tests {
 
     #[test]
     fn lazy_settle_replays_segments_bit_identically_to_eager_advance() {
-        let trace = SyntheticTraceConfig::small_scale().generate(9);
-        let mut lazy = WorldArena::from_trace(&trace);
-        let mut eager = WorldArena::from_trace(&trace);
-        let (a, b) = (lazy.slot_of_spec[0], lazy.slot_of_spec[1]);
+        let (mut lazy, _) = interned(9);
+        let (mut eager, _) = interned(9);
+        let (a, b) = (0, 1);
         for slot in [a, b] {
             lazy.jobs.activate(slot);
             eager.jobs.activate(slot);
@@ -1008,18 +875,9 @@ mod tests {
     }
 
     #[test]
-    fn streamed_jobs_recycle_slots_and_exact_fit_task_ranges() {
-        use eva_types::JobSpec;
-        fn reid(mut spec: JobSpec, id: JobId) -> JobSpec {
-            spec.id = id;
-            for (i, t) in spec.tasks.iter_mut().enumerate() {
-                t.id = TaskId::new(id, i as u32);
-            }
-            spec
-        }
+    fn released_jobs_recycle_slots_and_exact_fit_task_ranges() {
         let jobs = SyntheticTraceConfig::small_scale().generate(8).into_jobs();
-        let mut world = WorldArena::from_trace(&Trace::new(vec![]));
-        world.enable_streaming();
+        let mut world = WorldArena::default();
         let a = world.intern_job(jobs[0].clone());
         let b = world.intern_job(reid(jobs[1].clone(), JobId(1_000)));
         assert_ne!(a, b);
@@ -1051,13 +909,42 @@ mod tests {
     }
 
     #[test]
+    fn instance_task_lists_order_by_task_id_across_recycled_slots() {
+        // Job 1 takes the first task range and job 2 the next; once job 1
+        // is released, job 3 recycles the *lower* range. Its tasks then
+        // sit at smaller slots than job 2's but carry larger ids, and
+        // co-location order must follow the ids.
+        let jobs = SyntheticTraceConfig::small_scale().generate(8).into_jobs();
+        let mut world = WorldArena::default();
+        let first = world.intern_job(reid(jobs[0].clone(), JobId(1)));
+        let second = world.intern_job(reid(jobs[0].clone(), JobId(2)));
+        world.jobs.completed_at[first as usize] = Some(SimTime::from_secs(60));
+        world.release_job(first);
+        let third = world.intern_job(reid(jobs[0].clone(), JobId(3)));
+        let (t2, t3) = (
+            world.jobs.task_range(second).start as u32,
+            world.jobs.task_range(third).start as u32,
+        );
+        assert!(t3 < t2, "recycled range sits below the newer job's");
+        let inst = world.insts.ensure(InstanceId(0));
+        for t in [t3, t2] {
+            world.tasks.assigned[t as usize] = inst;
+            assert!(world.insts.attach(inst, t, &world.tasks.ids));
+        }
+        assert_eq!(world.insts.tasks[inst as usize], vec![t2, t3]);
+        world.audit().unwrap();
+        assert!(world.insts.detach(inst, t2, &world.tasks.ids));
+        assert_eq!(world.insts.tasks[inst as usize], vec![t3]);
+    }
+
+    #[test]
     fn attach_and_detach_report_whether_the_mapping_changed() {
-        let trace = SyntheticTraceConfig::small_scale().generate(1);
-        let mut world = WorldArena::from_trace(&trace);
+        let (mut world, _) = interned(1);
         let slot = world.insts.ensure(InstanceId(0));
-        assert!(world.insts.attach(slot, 4));
-        assert!(!world.insts.attach(slot, 4), "double attach is a no-op");
-        assert!(world.insts.detach(slot, 4));
-        assert!(!world.insts.detach(slot, 4), "double detach is a no-op");
+        let ids = &world.tasks.ids;
+        assert!(world.insts.attach(slot, 4, ids));
+        assert!(!world.insts.attach(slot, 4, ids), "double attach is a no-op");
+        assert!(world.insts.detach(slot, 4, ids));
+        assert!(!world.insts.detach(slot, 4, ids), "double detach is a no-op");
     }
 }

@@ -200,8 +200,8 @@ pub struct MetricsSnapshot {
     /// High-water mark of the event queue.
     pub event_queue_peak: usize,
     /// Arena job rows currently holding a live (unreleased) job — the
-    /// bounded-memory observable: with retirement on this tracks the
-    /// in-flight window, not total jobs ingested.
+    /// bounded-memory observable: this tracks the in-flight window, not
+    /// total jobs ingested.
     pub live_job_slots: usize,
     /// Scheduler rounds executed so far.
     pub rounds: u64,

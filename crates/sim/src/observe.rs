@@ -60,7 +60,7 @@ impl ClusterSim {
         if had_instance {
             let old_id = self.world.insts.ids[old as usize];
             self.touch_instance_jobs(old);
-            if self.world.insts.detach(old, tslot) {
+            if self.world.insts.detach(old, tslot, &self.world.tasks.ids) {
                 self.account_mapping(old_id, tslot, false);
             }
             if was_running {
@@ -97,7 +97,7 @@ impl ClusterSim {
         }
         let dslot = self.world.insts.ensure(dest);
         self.world.tasks.assigned[s] = dslot;
-        if self.world.insts.attach(dslot, tslot) {
+        if self.world.insts.attach(dslot, tslot, &self.world.tasks.ids) {
             self.account_mapping(dest, tslot, true);
         }
         self.push(
@@ -309,7 +309,7 @@ impl ClusterSim {
 
         if !self.world.jobs.active.is_empty() {
             self.schedule_round(self.now() + self.round_period);
-        } else if self.arrivals_remaining == 0 && self.stream_drained() {
+        } else if self.source_drained() {
             // Final cleanup: drain everything still alive, and tombstone
             // leftover fault events — a fault outliving the workload has
             // nothing to disturb, and letting it dispatch would drag the

@@ -26,12 +26,11 @@ pub(crate) fn finalize(mut sim: ClusterSim) -> SimReport {
     // Completed jobs fold in ascending JobId order, matching the former
     // map iteration. Retired jobs contribute from the completed log
     // (values frozen at completion with the identical float operations
-    // this pass applies to still-held slots); the rest come from the
-    // slot scan. Without retirement the log is empty and slot order is
-    // ID order, so the sort is a stable no-op and every metric folds in
-    // the identical sequence as before. The log's already-folded prefix
-    // (ids below every entry here — see `CompletedLog`) seeds the sums,
-    // and the loop continues the identical left-to-right additions.
+    // this pass applies to still-held slots); the rest — every completed
+    // job of the reference world, which retires nothing — come from the
+    // slot scan. The log's already-folded prefix (ids below every entry
+    // here — see `CompletedLog`) seeds the sums, and the loop continues
+    // the identical left-to-right additions.
     let mut completed: Vec<(JobId, f64, f64, f64)> = sim.completed.pending_rows().collect();
     for s in 0..sim.world.jobs.ids.len() as u32 {
         if sim.world.jobs.released[s as usize] || !sim.world.jobs.is_done(s) {
@@ -80,12 +79,7 @@ pub(crate) fn finalize(mut sim: ClusterSim) -> SimReport {
         }
     };
 
-    // Streaming worlds have an empty trace; the first ingested job's
-    // arrival anchors the makespan instead.
-    let first_arrival = sim
-        .first_arrival_seen
-        .or_else(|| sim.cfg.trace.jobs().first().map(|j| j.arrival))
-        .unwrap_or(SimTime::ZERO);
+    let first_arrival = sim.first_arrival.unwrap_or(SimTime::ZERO);
 
     SimReport {
         scheduler: sim.scheduler.name().to_string(),

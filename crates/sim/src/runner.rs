@@ -127,29 +127,30 @@ pub struct SimConfig {
     /// Adversarial fault axis: which regime (if any) to compile into a
     /// pre-run [`crate::FaultPlan`] and inject on both backends.
     pub faults: crate::FaultSpec,
-    /// Debug-only reference semantics: advance every active job eagerly
-    /// at each clock segment and accumulate allocation/capacity
+    /// Test-only reference world. It advances every active job eagerly
+    /// at each clock segment and accumulates allocation/capacity
     /// integrals by full scan, instead of the O(changed) dirty-set
-    /// path. Completion rescheduling stays dirty-triggered in both
-    /// modes — re-deriving a clean job's due time from a later anchor
-    /// can flip by ±1 ms of rounding. Output is byte-identical either
-    /// way (the lazy-oracle proptest holds the two in lockstep); this
-    /// exists so that equivalence stays testable. Not a sweep axis —
-    /// cache fingerprints ignore it.
+    /// path. It also retires nothing: completed jobs keep their arena
+    /// slots and terminated instances keep their provider records.
+    /// Completion rescheduling stays dirty-triggered in both worlds —
+    /// re-deriving a clean job's due time from a later anchor can flip
+    /// by ±1 ms of rounding. Output is byte-identical either way (the
+    /// lazy-oracle proptest holds the two in lockstep); this exists so
+    /// that equivalence stays testable. Not a sweep axis — cache
+    /// fingerprints ignore it.
     pub reference_full_scan: bool,
-    /// Release each completed job's arena slots back to a free list
-    /// after folding its report contribution into the completed-job
-    /// log, so live state tracks the in-flight window instead of every
-    /// job ever ingested (streaming service mode; `eva serve` turns it
-    /// on). Reports are byte-identical either way — the retirement
-    /// lockstep test holds the two in lockstep per event. Not a sweep
-    /// axis — cache fingerprints ignore it.
+    /// No-op: completed jobs always release their arena slots (only the
+    /// reference world, [`SimConfig::reference_full_scan`], keeps
+    /// everything). Kept so existing callers that still assign it
+    /// compile; it will be removed.
+    #[deprecated(note = "retirement is always on; this field does nothing")]
     pub retire_completed: bool,
 }
 
 impl SimConfig {
     /// Defaults matching the paper's main experiments. Accepts an owned
     /// [`eva_workloads::Trace`] or an existing [`TraceHandle`].
+    #[allow(deprecated)] // initializes the no-op `retire_completed`
     pub fn new(trace: impl Into<TraceHandle>, scheduler: SchedulerKind) -> Self {
         SimConfig {
             trace: trace.into(),

@@ -52,10 +52,8 @@ pub struct ServeOutcome {
 
 /// Runs a streaming world fed by `source` to completion, writing one
 /// [`MetricsSnapshot`] JSON line to `out` per elapsed metrics interval
-/// and a final snapshot line after the last event.
-///
-/// Retirement ([`SimConfig::retire_completed`]) is the caller's choice;
-/// `eva serve` turns it on so memory tracks the in-flight window.
+/// and a final snapshot line after the last event. Completed jobs
+/// recycle their arena slots, so memory tracks the in-flight window.
 pub fn serve<W: Write>(
     cfg: &SimConfig,
     source: Box<dyn JobSource>,
@@ -109,12 +107,10 @@ mod tests {
     use eva_workloads::{SyntheticSource, Trace, TraceHandle};
 
     fn serve_cfg() -> SimConfig {
-        let mut cfg = SimConfig::new(
+        SimConfig::new(
             TraceHandle::new(Trace::new(Vec::new())),
             SchedulerKind::Stratus,
-        );
-        cfg.retire_completed = true;
-        cfg
+        )
     }
 
     #[test]

@@ -319,16 +319,16 @@ impl SweepGrid {
     /// even for deduplicated cells.
     pub fn cell_config(&self, cell: &SweepCell) -> SimConfig {
         SimConfig {
-            trace: self.traces[cell.trace_index].handle.clone(),
-            scheduler: cell.scheduler.clone(),
             seed: cell.seed,
             round_period: cell.round_period,
             fidelity: cell.fidelity,
             interference: cell.interference,
             migration_delay_scale: cell.migration_delay_scale,
             faults: cell.faults,
-            reference_full_scan: false,
-            retire_completed: false,
+            ..SimConfig::new(
+                self.traces[cell.trace_index].handle.clone(),
+                cell.scheduler.clone(),
+            )
         }
     }
 

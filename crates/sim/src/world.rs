@@ -7,13 +7,20 @@
 //! contains no scheduling policy itself; report assembly lives in the
 //! `report` module.
 //!
+//! Jobs enter through one path: a [`JobSource`] pulled one job ahead of
+//! the clock, each job interned at its arrival instant
+//! (`Event::Ingest`). A batch trace is just a [`TraceSource`]. Once a
+//! job completes, its report contribution folds into the
+//! completed-job log and its arena slots recycle, so live state tracks
+//! the in-flight window rather than every job ever seen.
+//!
 //! World state lives in the slot-indexed SoA arenas of the private
-//! `arena` module:
-//! IDs intern to contiguous `u32` slots at construction, events carry
-//! slots instead of IDs, and the per-event hot loops walk flat vectors.
-//! Slot order is ID order, so every iteration (and therefore every float
-//! accumulation) happens in exactly the sequence the former
-//! `BTreeMap`-keyed world produced — reports are byte-identical.
+//! `arena` module: events carry slots instead of IDs, and the per-event
+//! hot loops walk flat vectors. Recycled slots are not in ID order, so
+//! every iteration that feeds a float accumulation, an event push or
+//! the scheduler orders by ID instead (see the `arena` module docs) —
+//! the exact sequence the former `BTreeMap`-keyed world produced, so
+//! reports are byte-identical.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -26,7 +33,9 @@ use eva_baselines::{
 use eva_cloud::{Catalog, CloudProvider, DelayModel};
 use eva_core::{EvaScheduler, Scheduler};
 use eva_types::{InstanceId, JobId, JobSpec, SimDuration, SimTime, TaskSpec, WorkloadKind};
-use eva_workloads::{InterferenceModel, JobSource, Trace, TraceHandle, WorkloadCatalog};
+use eva_workloads::{
+    InterferenceModel, JobSource, Trace, TraceHandle, TraceSource, WorkloadCatalog,
+};
 
 use crate::arena::{WorldArena, NO_SLOT};
 use crate::engine::{CancelToken, EventEngine, RngStreams, SimEvent, DELAY_STREAM};
@@ -40,7 +49,6 @@ use crate::state::TaskState;
 /// slots, not IDs — dispatch is a direct index, never a lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Event {
-    Arrival(usize),
     TaskReady { slot: u32, generation: u64 },
     JobDone { slot: u32, generation: u64 },
     Round,
@@ -48,8 +56,8 @@ pub(crate) enum Event {
     Fault(usize),
     /// A windowed fault (capacity shock, straggler) lifting.
     FaultExpire(usize),
-    /// The pending streamed job's arrival instant (streaming worlds
-    /// pull one job ahead; the handler interns it and primes the next).
+    /// The pending job's arrival instant (the world pulls one job
+    /// ahead; the handler interns it and primes the next).
     Ingest,
 }
 
@@ -62,9 +70,7 @@ impl SimEvent for Event {
             Event::Fault(_) | Event::FaultExpire(_) => 0,
             Event::TaskReady { .. } => 0,
             Event::JobDone { .. } => 1,
-            // An ingest *is* an arrival: same-time completions resolve
-            // first, the round that schedules the newcomer fires after.
-            Event::Arrival(_) | Event::Ingest => 2,
+            Event::Ingest => 2,
             Event::Round => 3,
         }
     }
@@ -74,11 +80,11 @@ impl SimEvent for Event {
 /// checkpoint drop (the job's latest checkpoint is its recent work).
 pub(crate) const CKPT_DROP_LOSS: f64 = 0.25;
 
-/// A retired job's report contribution, folded out of the arena when
-/// its slots are released (see [`SimConfig::retire_completed`]). Each
-/// value is computed at the completion instant with the exact float
-/// operations `report::finalize` would have applied to the frozen
-/// lanes, so retirement never changes a report byte.
+/// A completed job's report contribution, folded out of the arena when
+/// its slots are released. Each value is computed at the completion
+/// instant with the exact float operations `report::finalize` would
+/// have applied to the frozen lanes, so retirement never changes a
+/// report byte.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CompletedJob {
     pub id: JobId,
@@ -92,7 +98,7 @@ pub(crate) struct CompletedJob {
 /// `finalize` consumes completed jobs in ascending-id order (three
 /// left-to-right float sums), so a naive log must hold every
 /// [`CompletedJob`] until the end — the last O(total jobs) structure in
-/// a streaming world. Instead the log folds its *closed prefix* as the
+/// a long-running world. Instead the log folds its *closed prefix* as the
 /// run progresses: once every id that can still complete is known to
 /// exceed a pending entry's, that entry joins the running sums with the
 /// identical addition `finalize` would have performed, and the entry is
@@ -100,17 +106,13 @@ pub(crate) struct CompletedJob {
 ///
 /// Folding is sound only while ids are strictly increasing in
 /// ingestion order (otherwise a later, smaller id would have to fold
-/// *before* already-folded entries). Batch worlds verify this over the
-/// whole trace at construction; streaming worlds additionally require
-/// the source's [`JobSource::ids_monotone`] promise, and a violation
-/// (a lying source) stops further folding.
+/// *before* already-folded entries). It therefore requires the source's
+/// [`JobSource::ids_monotone`] promise, and a violation (a lying
+/// source) stops further folding.
 #[derive(Debug, Default)]
 pub(crate) struct CompletedLog {
     /// Ids promised monotone and no violation observed.
     fold_ok: bool,
-    /// Whether completed jobs' slots are being released (live-id
-    /// tracking is only paid for when folding can actually happen).
-    retire: bool,
     /// Largest id interned so far — the monotonicity detector.
     max_seen: Option<JobId>,
     /// Ids interned and not yet completed: the fold barrier.
@@ -125,36 +127,29 @@ pub(crate) struct CompletedLog {
 }
 
 impl CompletedLog {
-    pub(crate) fn new(retire: bool) -> Self {
+    /// A log that folds only when `ids_monotone` (the source's promise)
+    /// holds; otherwise pending entries are held until the end of the
+    /// run.
+    pub(crate) fn new(ids_monotone: bool) -> Self {
         CompletedLog {
-            fold_ok: true,
-            retire,
+            fold_ok: ids_monotone,
             ..CompletedLog::default()
         }
-    }
-
-    /// Withdraws the folding permission (non-monotone batch trace, or
-    /// a source that cannot promise monotone ids). Pending entries are
-    /// then held until the end of the run.
-    pub(crate) fn forbid_fold(&mut self) {
-        self.fold_ok = false;
     }
 
     pub(crate) fn fold_ok(&self) -> bool {
         self.fold_ok
     }
 
-    /// Notes a job entering the world. Detects id-order violations; in
-    /// retire mode the id also joins the fold barrier.
+    /// Notes a job entering the world: detects id-order violations and
+    /// adds the id to the fold barrier.
     pub(crate) fn intern(&mut self, id: JobId) {
         if self.max_seen.is_some_and(|m| id <= m) {
             self.fold_ok = false;
         } else {
             self.max_seen = Some(id);
         }
-        if self.retire {
-            self.live.insert(id);
-        }
+        self.live.insert(id);
     }
 
     /// Logs a retired job's frozen contribution, then folds every
@@ -201,15 +196,6 @@ impl CompletedLog {
     }
 }
 
-/// A streaming world's connection to its [`JobSource`]: one job pulled
-/// ahead (`pending`), scheduled as an [`Event::Ingest`] at its arrival
-/// instant. Pulling ahead keeps the event heap's time horizon honest —
-/// the engine always knows when the next external arrival lands.
-pub(crate) struct StreamState {
-    source: Box<dyn JobSource>,
-    pending: Option<JobSpec>,
-}
-
 /// One instance's slice of the incremental integral rates, indexed by
 /// `InstanceId` (provider IDs are sequential and never reused). All
 /// components are integer-valued `f64`s, so adding and later
@@ -228,7 +214,6 @@ struct InstAcct {
 
 /// The simulated cluster: engine + world state + metric accumulators.
 pub struct ClusterSim {
-    pub(crate) cfg: SimConfig,
     pub(crate) catalog: Catalog,
     pub(crate) cloud: CloudProvider,
     pub(crate) rng: StdRng,
@@ -243,17 +228,17 @@ pub struct ClusterSim {
 
     pub(crate) engine: EventEngine<Event>,
     pub(crate) round_pending: bool,
-    pub(crate) arrivals_remaining: usize,
     pub(crate) recorder: Option<ExecScript>,
 
-    // Streaming service state (batch worlds: `stream` is `None`, the
-    // log stays empty unless retirement is on, and `first_arrival_seen`
-    // stays `None` so reports keep reading the trace).
-    pub(crate) stream: Option<StreamState>,
-    pub(crate) retire_completed: bool,
+    // Ingestion state. One job is pulled ahead of the clock (`pending`)
+    // and scheduled as an `Event::Ingest` at its arrival instant, so the
+    // engine always knows when the next external arrival lands.
+    source: Box<dyn JobSource>,
+    pending: Option<JobSpec>,
+    /// The retired jobs' report contributions.
     pub(crate) completed: CompletedLog,
-    pub(crate) first_arrival_seen: Option<SimTime>,
-    pub(crate) ingested_jobs: u64,
+    /// The first ingested arrival: the makespan's anchor.
+    pub(crate) first_arrival: Option<SimTime>,
     pub(crate) metrics: MetricsRegistry,
 
     // Adversarial fault state.
@@ -283,9 +268,10 @@ pub struct ClusterSim {
     /// Future-dated terminations (deadline, instance) whose capacity is
     /// still counted; `advance_to` retires them once the clock passes.
     cap_pending: BTreeSet<(SimTime, InstanceId)>,
-    /// Debug-only eager reference semantics (see
-    /// [`SimConfig::reference_full_scan`]).
-    full_scan: bool,
+    /// Test-only reference semantics (see
+    /// [`SimConfig::reference_full_scan`]): scan eagerly and retire
+    /// nothing — neither job slots nor provider records.
+    reference: bool,
 
     // Reusable hot-path scratch (per-event, allocation-free steady state).
     tput_buf: RefCell<Vec<WorkloadKind>>,
@@ -294,48 +280,40 @@ pub struct ClusterSim {
 }
 
 impl ClusterSim {
-    /// Builds the world for one experiment.
+    /// Builds the world for one experiment: `cfg.trace` replayed through
+    /// a [`TraceSource`].
     ///
-    /// Jobs whose tasks fit no catalog instance type are dropped up front
-    /// with a warning (the paper likewise removes them from the trace,
-    /// §6.1); otherwise they could never complete and the simulation would
-    /// not terminate.
+    /// Jobs whose tasks fit no catalog instance type are dropped at
+    /// ingestion with a warning (the paper likewise removes them from the
+    /// trace, §6.1); otherwise they could never complete and the
+    /// simulation would not terminate.
     pub fn new(cfg: &SimConfig) -> Self {
         // Compile the fault plan from the *caller's* trace handle, before
         // feasibility filtering — the live backend compiles from the same
         // handle, so both sides must hash the same horizon.
         let fault_plan = FaultPlan::for_trace(cfg.faults, cfg.seed, &cfg.trace);
+        ClusterSim::build(cfg, fault_plan, Box::new(TraceSource::new(cfg.trace.clone())))
+    }
+
+    /// Builds a world fed by `source` instead of `cfg.trace`, which is
+    /// ignored.
+    ///
+    /// Arrivals are pulled lazily, one ahead of the clock, exactly as
+    /// [`ClusterSim::new`] pulls its trace, and completed jobs recycle
+    /// their slots, so the world never holds more than the in-flight
+    /// window. Fault plans compile over the empty-trace horizon, so a
+    /// streamed world sees no horizon-scheduled faults.
+    pub fn from_source(cfg: &SimConfig, source: Box<dyn JobSource>) -> Self {
+        let empty = TraceHandle::new(Trace::new(Vec::new()));
+        let fault_plan = FaultPlan::for_trace(cfg.faults, cfg.seed, &empty);
+        ClusterSim::build(cfg, fault_plan, source)
+    }
+
+    /// The one constructor behind [`ClusterSim::new`] and
+    /// [`ClusterSim::from_source`].
+    fn build(cfg: &SimConfig, fault_plan: FaultPlan, source: Box<dyn JobSource>) -> Self {
         let catalog = Catalog::aws_eval_2025();
         let workloads = WorkloadCatalog::table7();
-        let fits = |job: &eva_types::JobSpec| {
-            job.tasks
-                .iter()
-                .all(|t| catalog.cheapest_fit(&t.demand).is_some())
-        };
-        // The common case drops nothing, so the world shares the caller's
-        // trace by handle instead of cloning the job vector.
-        let trace = if cfg.trace.jobs().iter().all(&fits) {
-            cfg.trace.clone()
-        } else {
-            let feasible: Vec<_> = cfg
-                .trace
-                .jobs()
-                .iter()
-                .filter(|job| {
-                    let ok = fits(job);
-                    if !ok {
-                        eprintln!("warning: dropping unschedulable {}", job.id);
-                    }
-                    ok
-                })
-                .cloned()
-                .collect();
-            TraceHandle::new(Trace::new(feasible))
-        };
-        let cfg = SimConfig {
-            trace,
-            ..cfg.clone()
-        };
         let interference = match cfg.interference {
             InterferenceSpec::Measured => InterferenceModel::measured(&workloads),
             InterferenceSpec::Uniform(t) => InterferenceModel::uniform(&workloads, t),
@@ -355,7 +333,9 @@ impl ClusterSim {
         };
         let delays = DelayModel::table1(cfg.fidelity);
         let cloud = CloudProvider::new(catalog.clone(), delays);
-        let world = WorldArena::from_trace(cfg.trace.trace());
+        // Folding retired contributions early needs the source's explicit
+        // promise of monotone ids, not just observed monotonicity.
+        let completed = CompletedLog::new(source.ids_monotone());
 
         let mut sim = ClusterSim {
             catalog,
@@ -365,17 +345,15 @@ impl ClusterSim {
             scheduler,
             round_period: cfg.round_period,
             migration_delay_scale: cfg.migration_delay_scale,
-            world,
+            world: WorldArena::default(),
             draining: BTreeSet::new(),
             engine: EventEngine::new(),
             round_pending: false,
-            arrivals_remaining: cfg.trace.len(),
             recorder: None,
-            stream: None,
-            retire_completed: cfg.retire_completed,
-            completed: CompletedLog::new(cfg.retire_completed),
-            first_arrival_seen: None,
-            ingested_jobs: 0,
+            source,
+            pending: None,
+            completed,
+            first_arrival: None,
             metrics: MetricsRegistry::default(),
             fault_plan,
             fault_tokens: Vec::new(),
@@ -387,7 +365,7 @@ impl ClusterSim {
             alloc_integral: [0.0; 3],
             capacity_integral: [0.0; 3],
             migration_count: 0,
-            total_tasks: cfg.trace.jobs().iter().map(|j| j.num_tasks()).sum(),
+            total_tasks: 0,
             rounds: 0,
             full_rounds: 0,
             inst_acct: Vec::new(),
@@ -395,20 +373,11 @@ impl ClusterSim {
             alloc_rate: [0.0; 3],
             running_rate: 0,
             cap_pending: BTreeSet::new(),
-            full_scan: cfg.reference_full_scan,
+            reference: cfg.reference_full_scan,
             tput_buf: RefCell::new(Vec::new()),
             term_scratch: Vec::new(),
             dirty_scratch: Vec::new(),
-            cfg,
         };
-        // Batch worlds know every id up front, so one pass both decides
-        // fold legality (monotone ids) and seeds the fold barrier.
-        for job in sim.cfg.trace.jobs() {
-            sim.completed.intern(job.id);
-        }
-        for (idx, job) in sim.cfg.trace.jobs().iter().enumerate() {
-            sim.engine.schedule(job.arrival, Event::Arrival(idx));
-        }
         // Inject the fault plan. Price steps compile straight into the
         // provider's billing schedule (they change no control-plane
         // behaviour); everything else enters the event heap as
@@ -442,46 +411,15 @@ impl ClusterSim {
                 }
             }
         }
-        sim
-    }
-
-    /// Builds a streaming world fed by `source` instead of a trace.
-    ///
-    /// Arrivals are pulled lazily, one ahead of the clock, through
-    /// `Event::Ingest` — the world never holds more than the in-flight
-    /// window (plus, with [`SimConfig::retire_completed`] off, retired
-    /// lanes). `cfg.trace` is ignored; fault plans compile over the
-    /// empty-trace horizon, so streaming fault coverage comes from the
-    /// batch-mode lockstep tests.
-    pub fn from_source(cfg: &SimConfig, source: Box<dyn JobSource>) -> Self {
-        let empty = SimConfig {
-            trace: TraceHandle::new(Trace::new(Vec::new())),
-            ..cfg.clone()
-        };
-        let mut sim = ClusterSim::new(&empty);
-        sim.world.enable_streaming();
-        // Streamed ids are unknown ahead of time: folding needs the
-        // source's explicit promise, not just observed monotonicity.
-        if !source.ids_monotone() {
-            sim.completed.forbid_fold();
-        }
-        sim.stream = Some(StreamState {
-            source,
-            pending: None,
-        });
         sim.prime_ingest();
         sim
     }
 
-    /// Pulls the next feasible job off the stream and schedules its
-    /// ingest. Infeasible jobs are dropped with the same warning as the
-    /// batch constructor's trace filter.
+    /// Pulls the next feasible job off the source and schedules its
+    /// ingest. Infeasible jobs are dropped with a warning.
     fn prime_ingest(&mut self) {
-        let Some(mut stream) = self.stream.take() else {
-            return;
-        };
-        debug_assert!(stream.pending.is_none(), "priming over a pending job");
-        while let Some(job) = stream.source.next_job() {
+        debug_assert!(self.pending.is_none(), "priming over a pending job");
+        while let Some(job) = self.source.next_job() {
             let feasible = job
                 .tasks
                 .iter()
@@ -492,25 +430,20 @@ impl ClusterSim {
             }
             // A source that lags the clock still arrives causally.
             let at = job.arrival.max(self.now());
-            stream.pending = Some(job);
-            self.stream = Some(stream);
+            self.pending = Some(job);
             self.push(at, Event::Ingest);
             return;
         }
-        self.stream = Some(stream);
     }
 
-    /// Interns the pending streamed job at its arrival instant, then
-    /// pulls the next one.
+    /// Interns the pending job at its arrival instant, then pulls the
+    /// next one.
     fn handle_ingest(&mut self) {
-        let Some(job) = self.stream.as_mut().and_then(|s| s.pending.take()) else {
+        let Some(job) = self.pending.take() else {
             return;
         };
-        self.ingested_jobs += 1;
         self.total_tasks += job.num_tasks();
-        if self.first_arrival_seen.is_none() {
-            self.first_arrival_seen = Some(job.arrival);
-        }
+        self.first_arrival.get_or_insert(job.arrival);
         self.metrics.record_arrival();
         self.completed.intern(job.id);
         let slot = self.world.intern_job(job);
@@ -519,10 +452,9 @@ impl ClusterSim {
         self.prime_ingest();
     }
 
-    /// True when no streamed job is waiting to be ingested (batch
-    /// worlds: always).
-    pub(crate) fn stream_drained(&self) -> bool {
-        self.stream.as_ref().is_none_or(|s| s.pending.is_none())
+    /// True when no job is waiting to be ingested.
+    pub(crate) fn source_drained(&self) -> bool {
+        self.pending.is_none()
     }
 
     /// The current simulated instant.
@@ -553,14 +485,11 @@ impl ClusterSim {
         }
     }
 
-    /// The spec of the job in `jslot`: slot-owned for streamed jobs,
-    /// an index into the shared trace otherwise.
+    /// The spec of the job in `jslot` (which must be held, not released).
     pub(crate) fn job_spec(&self, jslot: u32) -> &JobSpec {
-        let s = jslot as usize;
-        if let Some(spec) = self.world.jobs.owned.get(s).and_then(|o| o.as_deref()) {
-            return spec;
-        }
-        &self.cfg.trace.jobs()[self.world.jobs.spec_idx[s] as usize]
+        self.world.jobs.owned[jslot as usize]
+            .as_deref()
+            .expect("spec of a released job slot")
     }
 
     /// The spec of the task in `tslot`.
@@ -614,13 +543,6 @@ impl ClusterSim {
 
     fn handle(&mut self, event: Event) {
         match event {
-            Event::Arrival(idx) => {
-                self.arrivals_remaining -= 1;
-                self.metrics.record_arrival();
-                let slot = self.world.slot_of_spec[idx];
-                self.world.jobs.activate(slot);
-                self.schedule_round(self.now());
-            }
             Event::Ingest => self.handle_ingest(),
             Event::TaskReady { slot, generation } => {
                 let s = slot as usize;
@@ -685,7 +607,8 @@ impl ClusterSim {
         // Every job with a task here changes throughput (marking also
         // settles them, so the Kill progress reads below are current).
         self.touch_instance_jobs(islot);
-        // Snapshot: slot order is TaskId order.
+        // Snapshot in the list's TaskId order, which orders the
+        // recorded Kill actions.
         let tslots = self.world.insts.tasks[islot as usize].clone();
         for tslot in tslots {
             let s = tslot as usize;
@@ -701,7 +624,7 @@ impl ClusterSim {
             }
             self.world.tasks.state[s] = TaskState::Pending;
             self.world.tasks.assigned[s] = NO_SLOT;
-            if self.world.insts.detach(islot, tslot) {
+            if self.world.insts.detach(islot, tslot, &self.world.tasks.ids) {
                 self.account_mapping(victim, tslot, false);
             }
         }
@@ -922,52 +845,9 @@ impl ClusterSim {
         self.engine.peak_len()
     }
 
-    /// Debug digest of every observable the lazy dirty-set path must
-    /// keep identical to the eager reference
-    /// ([`SimConfig::reference_full_scan`]): settles all active jobs
-    /// first so deferred progress is folded in, then formats each lane
-    /// with shortest-roundtrip float formatting (distinct bits ⇒
-    /// distinct strings). Test-only; not part of the stable API.
-    #[doc(hidden)]
-    pub fn oracle_digest(&mut self) -> String {
-        use std::fmt::Write as _;
-        for i in 0..self.world.jobs.active.len() {
-            let slot = self.world.jobs.active[i];
-            self.world.jobs.settle(slot);
-        }
-        let mut out = String::new();
-        let jobs = &self.world.jobs;
-        for s in 0..jobs.ids.len() {
-            let _ = writeln!(
-                out,
-                "job {}: rem={:?} exec={:?} idle={:?} tput_int={:?} rate={:?} done={:?} sched={:?}",
-                jobs.ids[s],
-                jobs.remaining_hours[s],
-                jobs.executing_hours[s],
-                jobs.idle_hours[s],
-                jobs.tput_integral[s],
-                jobs.rate[s],
-                jobs.completed_at[s],
-                jobs.scheduled_done_at[s],
-            );
-        }
-        let _ = writeln!(
-            out,
-            "integrals alloc={:?} cap={:?} run_hours={:?} \
-             rates alloc={:?} cap={:?} running={}",
-            self.alloc_integral,
-            self.capacity_integral,
-            self.task_running_hours,
-            self.alloc_rate,
-            self.cap_rate,
-            self.running_rate,
-        );
-        out
-    }
-
-    /// Jobs ingested from a stream so far (0 for batch worlds).
+    /// Jobs ingested from the source so far.
     pub fn jobs_ingested(&self) -> u64 {
-        self.ingested_jobs
+        self.metrics.arrivals_total
     }
 
     /// Jobs currently arrived and not done.
@@ -976,14 +856,14 @@ impl ClusterSim {
     }
 
     /// Arena job rows currently holding a live (unreleased) job — the
-    /// bounded-memory observable: with retirement on this tracks the
-    /// in-flight window, not total jobs ingested.
+    /// bounded-memory observable: this tracks the in-flight window, not
+    /// total jobs ingested (the reference world releases nothing).
     pub fn live_job_slots(&self) -> usize {
         self.world.jobs.ids.len() - self.world.jobs.free.len()
     }
 
     /// Total job rows the arena has ever grown to (live + recycled).
-    /// Bounded-memory streaming keeps this near the in-flight peak.
+    /// Slot recycling keeps this near the in-flight peak.
     pub fn job_arena_rows(&self) -> usize {
         self.world.jobs.ids.len()
     }
@@ -1023,12 +903,15 @@ impl ClusterSim {
         }
     }
 
-    /// Debug digest of every observable job retirement must preserve:
-    /// live jobs by ID with their settled progress lanes, completed
-    /// jobs by ID with their report contributions (from the completed
-    /// log or a slot scan — wherever retirement left them), and the
-    /// global integrals. Retirement on and off must produce identical
-    /// strings after every event. Test-only; not part of the stable API.
+    /// Debug digest of every observable the default world must keep
+    /// identical to the reference world
+    /// ([`SimConfig::reference_full_scan`]): live jobs by ID with their
+    /// settled progress lanes, completed jobs by ID with their report
+    /// contributions (from the completed log or a slot scan — wherever
+    /// retirement left them), and the global integrals and rates. Floats
+    /// use shortest-roundtrip formatting (distinct bits ⇒ distinct
+    /// strings). Both worlds must produce identical strings after every
+    /// event. Test-only; not part of the stable API.
     #[doc(hidden)]
     pub fn stream_digest(&mut self) -> String {
         use std::fmt::Write as _;
@@ -1072,8 +955,8 @@ impl ClusterSim {
         }
         done.sort_by_key(|e| e.0);
         // Entries below the fold watermark — the smallest id that can
-        // still complete, recomputed from the arena so both retirement
-        // modes derive it identically — render as one running
+        // still complete, recomputed from the arena so both worlds
+        // derive it identically — render as one running
         // left-fold; retirement may have folded them out of existence.
         // Everything at or above it renders per job.
         let watermark: Option<JobId> = (0..self.world.jobs.ids.len() as u32)
@@ -1144,7 +1027,7 @@ impl ClusterSim {
                 self.touch_instance_jobs(inst);
                 let id = self.world.insts.ids[inst as usize];
                 self.world.tasks.assigned[t] = NO_SLOT;
-                if self.world.insts.detach(inst, t as u32) {
+                if self.world.insts.detach(inst, t as u32, &self.world.tasks.ids) {
                     self.account_mapping(id, t as u32, false);
                 }
                 if was_running {
@@ -1154,7 +1037,7 @@ impl ClusterSim {
         }
         self.metrics
             .record_completion(self.world.jobs.idle_hours[s]);
-        if self.retire_completed {
+        if !self.reference {
             // Fold the frozen lanes into the completed-job log with the
             // identical float operations `finalize` would apply, then
             // hand the slots back. The job cannot be dirty here:
@@ -1240,7 +1123,7 @@ impl ClusterSim {
             self.world.jobs.dirty_list.is_empty(),
             "dirty jobs crossed a segment boundary unsettled"
         );
-        if self.full_scan {
+        if self.reference {
             // Eager reference semantics, kept verbatim for the oracle:
             // throughputs are pure reads, so computing them all before
             // applying preserves the old interleaved map semantics.
@@ -1297,10 +1180,10 @@ impl ClusterSim {
             }
             self.cap_pending.pop_first();
             self.uncount_instance(id);
-            // A service world also drops the provider record: its bill
-            // and uptime froze at termination, and nothing reads a
-            // past-terminated instance again.
-            if self.retire_completed {
+            // Drop the provider record too: its bill and uptime froze at
+            // termination, and nothing reads a past-terminated instance
+            // again (the reference world keeps it for inspection).
+            if !self.reference {
                 self.cloud.retire_instance(id);
             }
         }
@@ -1315,7 +1198,7 @@ impl ClusterSim {
     /// ±1 ms of rounding, so re-deriving clean jobs would push spurious
     /// replacement events rather than validate anything. Marking
     /// completeness is instead cross-checked by the eager reference
-    /// advancing progress and integrals by full scan (`oracle_digest`
+    /// advancing progress and integrals by full scan (`stream_digest`
     /// equality) and by `audit_slots` recomputing every cached rate.
     pub(crate) fn recompute_completions(&mut self) {
         if self.world.jobs.dirty_list.is_empty() {
@@ -1327,9 +1210,11 @@ impl ClusterSim {
         let mut dirty = std::mem::take(&mut self.dirty_scratch);
         dirty.clear();
         dirty.append(&mut self.world.jobs.dirty_list);
-        // Ascending slot order: dirty jobs reschedule in the relative
-        // order the eager full sweep pushed them.
-        dirty.sort_unstable();
+        // Ascending JobId order (slots recycle, so not slot order): dirty
+        // jobs reschedule in the relative order the eager full sweep
+        // pushed them, which breaks same-instant completion ties.
+        let ids = &self.world.jobs.ids;
+        dirty.sort_unstable_by_key(|&slot| ids[slot as usize]);
         let now = self.engine.now();
         for &slot in &dirty {
             let s = slot as usize;
@@ -1484,7 +1369,7 @@ impl ClusterSim {
         if t <= self.engine.now() {
             self.cap_pending.remove(&(t, id));
             self.uncount_instance(id);
-            if self.retire_completed {
+            if !self.reference {
                 self.cloud.retire_instance(id);
             }
         } else {

@@ -5,7 +5,7 @@
 //! construction. Three adapters cover the service-mode story:
 //!
 //! * [`TraceSource`] — batch replay of an in-memory [`TraceHandle`]; the
-//!   existing load-then-run path expressed as a source.
+//!   simulator's own trace replay is this source.
 //! * [`SyntheticSource`] — a seeded open-loop Poisson generator that
 //!   replays [`SyntheticTraceConfig::generate`]'s exact RNG walk one job
 //!   at a time, so a streamed run sees the same jobs as a batch run

@@ -679,7 +679,7 @@ fn run(cli: Cli) -> Result<(), String> {
 }
 
 /// The `eva serve` service loop: builds the requested job source, runs a
-/// streaming world with job retirement on, and emits rolling
+/// streaming world over it, and emits rolling
 /// [`MetricsSnapshot`] JSON lines on stdout (human commentary goes to
 /// stderr so the stdout stream stays machine-parseable).
 fn run_serve(args: ServeArgs) -> Result<(), String> {
@@ -688,9 +688,6 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
     let mut cfg = SimConfig::new(TraceHandle::new(Trace::new(Vec::new())), kind);
     cfg.seed = args.seed;
     cfg.round_period = SimDuration::from_hours_f64(args.period_mins / 60.0);
-    // Service mode is long-lived by design: completed jobs retire their
-    // arena slots so memory tracks the in-flight window.
-    cfg.retire_completed = true;
     let (source, label): (Box<dyn JobSource>, String) = match &args.source {
         ServeSource::Synthetic { rate_per_hour } => (
             Box::new(SyntheticSource::open_loop(

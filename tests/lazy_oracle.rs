@@ -1,63 +1,25 @@
-//! Oracle for the O(changed) hot loop: the lazy dirty-set path
+//! Lockstep oracle for the default world. Its O(changed) hot loop
 //! (segment-log progress, dirty-only completion rescheduling,
-//! incremental allocation/capacity integrals) must be *semantically
-//! invisible*. The same seeded simulation is stepped in lockstep
-//! through the lazy path and the debug-only eager reference
-//! (`SimConfig::reference_full_scan`), and every event boundary must
-//! agree on job progress, cached rates, completion times, and integral
-//! accumulators — bit for bit, via shortest-roundtrip float formatting
-//! (distinct bits ⇒ distinct strings).
+//! incremental allocation/capacity integrals) and its job retirement
+//! (completed jobs fold into the completed-job log and recycle their
+//! arena slots; terminated instances drop their provider records) must
+//! both be *semantically invisible*. The same seeded simulation is
+//! stepped in lockstep through the default world and the test-only
+//! reference world (`SimConfig::reference_full_scan`: eager full scans,
+//! nothing retired), and every event boundary must agree on live-job
+//! progress, completed-job report contributions, cached rates,
+//! completion times and integral accumulators — bit for bit, via
+//! shortest-roundtrip float formatting (distinct bits ⇒ distinct
+//! strings). Final reports must serialize identically.
 
+mod common;
+
+use common::{assert_lockstep, sims, trace};
 use eva::prelude::*;
 use proptest::prelude::*;
 
-fn trace(jobs: usize, seed: u64, rate: f64) -> Trace {
-    AlibabaTraceConfig {
-        num_jobs: jobs,
-        arrival_rate_per_hour: rate,
-        durations: DurationModelChoice::Alibaba,
-    }
-    .generate(seed)
-}
-
-fn sims(jobs: usize, seed: u64, regime: &str) -> (ClusterSim, ClusterSim) {
-    let mut cfg = SimConfig::new(trace(jobs, seed, 8.0), SchedulerKind::Stratus);
-    cfg.seed = seed;
-    cfg.faults = FaultSpec::parse(regime).expect("valid regime");
-    let mut reference = cfg.clone();
-    reference.reference_full_scan = true;
-    (ClusterSim::new(&cfg), ClusterSim::new(&reference))
-}
-
-/// Steps both worlds to exhaustion, comparing digests at every event
-/// boundary, then compares the final reports byte-for-byte.
-fn assert_lockstep(mut lazy: ClusterSim, mut full: ClusterSim) -> Result<(), TestCaseError> {
-    let mut steps = 0u64;
-    loop {
-        let (a, b) = (lazy.step(), full.step());
-        prop_assert_eq!(a, b, "event streams diverged in length at step {}", steps);
-        prop_assert_eq!(
-            lazy.now(),
-            full.now(),
-            "clocks diverged at step {}",
-            steps
-        );
-        let (da, db) = (lazy.oracle_digest(), full.oracle_digest());
-        prop_assert_eq!(da, db, "world digests diverged at step {}", steps);
-        lazy.audit_slots().map_err(TestCaseError::fail)?;
-        if !a {
-            break;
-        }
-        steps += 1;
-    }
-    let ra = serde_json::to_string(&lazy.run()).expect("report serializes");
-    let rb = serde_json::to_string(&full.run()).expect("report serializes");
-    prop_assert_eq!(ra, rb, "final reports diverged");
-    Ok(())
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
     #[test]
     fn lazy_dirty_set_path_matches_full_scan_reference(
         jobs in 2usize..14,
@@ -69,8 +31,36 @@ proptest! {
             Just("straggler:2"),
             Just("ckpt-drop"),
         ],
+        scheduler in prop_oneof![
+            Just(SchedulerKind::Stratus),
+            Just(SchedulerKind::Eva(EvaConfig::eva())),
+        ],
     ) {
-        let (lazy, full) = sims(jobs, seed, regime);
+        let mut cfg = SimConfig::new(trace(jobs, seed), scheduler);
+        cfg.seed = seed;
+        cfg.faults = FaultSpec::parse(regime).expect("valid regime");
+        let (lazy, full) = sims(&cfg);
         assert_lockstep(lazy, full)?;
     }
+}
+
+#[test]
+fn eva_matches_reference_while_slots_recycle() {
+    // Once job slots recycle, slot order stops being id order. Eva must
+    // not see that: if interference products or its co-location contexts
+    // followed task-slot order, this trace's Full-vs-Partial decisions
+    // would change (full_reconfig_rate 3/155 instead of 5/155).
+    let mut cfg = SimConfig::new(trace(32, 18), SchedulerKind::Eva(EvaConfig::eva()));
+    cfg.seed = 18;
+    let (lazy, full) = sims(&cfg);
+    let drained = assert_lockstep(lazy, full).unwrap();
+    assert_eq!(drained.ingested, 32);
+    assert!(
+        drained.peak_rows < 32,
+        "slots must recycle for this case to mean anything ({} rows)",
+        drained.peak_rows
+    );
+    assert_eq!(drained.live_slots.0, 0, "every completed job released");
+    let report = ClusterSim::new(&cfg).run();
+    assert_eq!(report.full_reconfig_rate, 5.0 / 155.0);
 }

@@ -10,7 +10,6 @@ fn serve_cfg() -> SimConfig {
         TraceHandle::new(Trace::new(Vec::new())),
         SchedulerKind::Stratus,
     );
-    cfg.retire_completed = true;
     cfg.seed = 1;
     cfg
 }
@@ -18,8 +17,8 @@ fn serve_cfg() -> SimConfig {
 #[test]
 fn long_stream_runs_in_bounded_arena_memory() {
     // 1500 jobs at ~30/h with 0.5–3 h durations keeps a few dozen jobs
-    // in flight; without retirement the arena would grow one row per
-    // job ingested.
+    // in flight; without slot recycling the arena would grow one row
+    // per job ingested.
     let source = Box::new(SyntheticSource::open_loop(30.0, 1500, 5));
     let mut out = Vec::new();
     let outcome = serve(

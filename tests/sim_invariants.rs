@@ -109,8 +109,32 @@ fn preempted_instances_do_no_work_after_their_preemption() {
     // instance is preempted it must hold zero tasks for the rest of the
     // run, and the provider must record its termination at exactly the
     // preemption timestamp — any later work would be phantom throughput
-    // a real spot reclaim could never deliver.
-    let mut sim = ClusterSim::new(&faulted_cfg("preempt-storm:3", 11));
+    // a real spot reclaim could never deliver. The default world drops
+    // terminated instances' provider records, so the record check runs
+    // on the reference world, which keeps them.
+    let cfg = faulted_cfg("preempt-storm:3", 11);
+    let mut sim = ClusterSim::new(&cfg);
+    loop {
+        for &(_, inst) in sim.preemption_log() {
+            assert_eq!(
+                sim.tasks_on(inst),
+                0,
+                "preempted {inst} still carries tasks at {:?}",
+                sim.now()
+            );
+        }
+        if !sim.step() {
+            break;
+        }
+    }
+    assert!(
+        !sim.preemption_log().is_empty(),
+        "an intensity-3 storm must preempt at least one instance"
+    );
+
+    let mut reference = cfg;
+    reference.reference_full_scan = true;
+    let mut sim = ClusterSim::new(&reference);
     loop {
         for &(at, inst) in sim.preemption_log() {
             assert_eq!(
