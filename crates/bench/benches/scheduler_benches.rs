@@ -4,6 +4,11 @@
 //!   (378 ms in the paper's Python; the Rust port is much faster).
 //! * `full_reconfiguration/{1000,2000}` reproduces the Table 5 scaling
 //!   shape (quadratic in the task count).
+//! * `full_reconfiguration_learned/{200,1000}` packs the same Table 7
+//!   tasks (CPU workloads carry their `c7i`/`r7i` demand overrides) under
+//!   a populated interference table, with every third job gang-coupled,
+//!   so each greedy step memoizes per joining workload (also quadratic in
+//!   the task count).
 //! * `solvers/*` compare the exact branch-and-bound against FFD.
 //! * `throughput_table/*` measure the co-location table's hot paths.
 
@@ -50,6 +55,51 @@ fn bench_full_reconfiguration(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &tasks, |b, tasks| {
             b.iter(|| {
                 let eval = TnrpEvaluator::new(&UnitTput, &prices, true);
+                full_reconfiguration(tasks, &catalog, &eval)
+            })
+        });
+    }
+    group.finish();
+}
+
+/// [`sample_tasks`] with every third job gang-coupled (2–4 tasks).
+fn learned_tasks(n: usize, seed: u64) -> Vec<TaskSnapshot> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut tasks = sample_tasks(n, seed);
+    for t in tasks.iter_mut().step_by(3) {
+        t.gang_coupled = true;
+        t.gang_size = rng.gen_range(2..=4);
+    }
+    tasks
+}
+
+/// A table with recorded pairwise entries and exact groups of two to four
+/// co-located workloads over the Table 7 kinds.
+fn learned_table(seed: u64) -> ThroughputTable {
+    let kinds: Vec<WorkloadKind> = WorkloadCatalog::table7().iter().map(|w| w.kind).collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut table = ThroughputTable::new(0.95);
+    for _ in 0..200 {
+        let task = kinds[rng.gen_range(0..kinds.len())];
+        let others: Vec<WorkloadKind> = (0..rng.gen_range(1..=4))
+            .map(|_| kinds[rng.gen_range(0..kinds.len())])
+            .collect();
+        table.record(task, &others, rng.gen_range(0.6..1.0));
+    }
+    table
+}
+
+fn bench_full_reconfiguration_learned(c: &mut Criterion) {
+    let catalog = Catalog::aws_eval_2025();
+    let table = learned_table(11);
+    let mut group = c.benchmark_group("full_reconfiguration_learned");
+    group.sample_size(10);
+    for n in [200usize, 1000] {
+        let tasks = learned_tasks(n, n as u64);
+        let prices = ReservationPrices::compute(&catalog, tasks.iter());
+        group.bench_with_input(BenchmarkId::from_parameter(n), &tasks, |b, tasks| {
+            b.iter(|| {
+                let eval = TnrpEvaluator::new(&table, &prices, true);
                 full_reconfiguration(tasks, &catalog, &eval)
             })
         });
@@ -121,6 +171,7 @@ fn bench_throughput_table(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_full_reconfiguration,
+    bench_full_reconfiguration_learned,
     bench_solvers,
     bench_throughput_table
 );

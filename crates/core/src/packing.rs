@@ -9,10 +9,10 @@
 //! provisioned instance is cost-efficient relative to no-packing.
 
 use eva_cloud::{Catalog, InstanceType};
-use eva_types::{InstanceTypeId, ResourceVector, TaskId};
+use eva_types::{InstanceTypeId, ResourceVector, TaskId, WorkloadKind};
 
 use crate::plan::TaskSnapshot;
-use crate::reservation::TnrpEvaluator;
+use crate::reservation::{TnrpEvaluator, TnrpFactors};
 
 /// One packed instance: a type plus the task set assigned to it.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,6 +74,13 @@ impl PackedConfig {
 /// assigned: at its reservation-price type, the singleton set satisfies
 /// `TNRP({τ}) = RP(τ) ≥ C_k` (a task alone has throughput 1).
 ///
+/// Each task's `RP` and gang factor are resolved once per call, and its
+/// family demand once per instance type, so a greedy step scores each
+/// candidate in O(1) from a per-workload memo (see `pack_one_instance`).
+/// The result is bit-identical to scoring every candidate with
+/// [`TnrpEvaluator::tnrp_set`]. Task ids must be distinct, as in every
+/// scheduler snapshot.
+///
 /// # Examples
 ///
 /// ```
@@ -111,10 +118,13 @@ pub fn full_reconfiguration(
 ) -> PackedConfig {
     let mut config = PackedConfig::default();
     // Tasks no type can host are unassignable regardless of packing.
-    let mut remaining: Vec<&TaskSnapshot> = Vec::new();
+    let mut remaining: Vec<Candidate<'_>> = Vec::new();
     for t in tasks {
         if catalog.cheapest_fit(&t.demand).is_some() {
-            remaining.push(t);
+            remaining.push(Candidate {
+                task: t,
+                factors: eval.factors(t),
+            });
         } else {
             config.unassigned.push(t.id);
         }
@@ -128,8 +138,13 @@ pub fn full_reconfiguration(
             // Ghost or free types would host everything vacuously.
             continue;
         }
+        // Family-resolved demands on this type, parallel to `remaining`.
+        let mut demands: Vec<ResourceVector> = remaining
+            .iter()
+            .map(|c| instance_type.demand_of(&c.task.demand))
+            .collect();
         loop {
-            let (set_indices, tnrp) = pack_one_instance(&remaining, instance_type, eval);
+            let (set_indices, tnrp) = pack_one_instance(&remaining, &demands, instance_type, eval);
             if set_indices.is_empty() {
                 break;
             }
@@ -137,12 +152,15 @@ pub fn full_reconfiguration(
             if tnrp + 1e-9 >= instance_type.hourly_cost.as_dollars() {
                 // Record ids in assignment order, then remove by descending
                 // index so earlier indices stay valid.
-                let task_ids: Vec<TaskId> =
-                    set_indices.iter().map(|idx| remaining[*idx].id).collect();
+                let task_ids: Vec<TaskId> = set_indices
+                    .iter()
+                    .map(|idx| remaining[*idx].task.id)
+                    .collect();
                 let mut sorted = set_indices.clone();
                 sorted.sort_unstable_by(|a, b| b.cmp(a));
                 for idx in &sorted {
                     remaining.remove(*idx);
+                    demands.remove(*idx);
                 }
                 config.instances.push(PackedInstance {
                     type_id: instance_type.id,
@@ -158,39 +176,70 @@ pub fn full_reconfiguration(
     }
 
     // Anything left is unassignable (should not happen for feasible tasks).
-    config.unassigned.extend(remaining.iter().map(|t| t.id));
+    config
+        .unassigned
+        .extend(remaining.iter().map(|c| c.task.id));
     config
 }
 
+/// A task still to be packed, with its TNRP constants resolved once.
+struct Candidate<'t> {
+    task: &'t TaskSnapshot,
+    factors: TnrpFactors,
+}
+
 /// Greedily fills one instance of `instance_type` from `remaining`
-/// (Algorithm 1 lines 5–13). Returns the selected indices (in assignment
-/// order) and the final set TNRP.
+/// (Algorithm 1 lines 5–13). `demands[i]` is `remaining[i]`'s demand on
+/// this type. Returns the selected indices (in assignment order) and the
+/// final set TNRP.
+///
+/// Within one step the set `T` is fixed, and a candidate `τ` enters
+/// `TNRP(T ∪ {τ})` in two ways: each member `m` is estimated against
+/// `T∖{m}` plus `τ`'s workload, and `τ` against `T`. Both depend on `τ`
+/// only through its workload, so [`TnrpEvaluator::join_terms`] runs once
+/// per distinct joining workload per step, and each candidate scores in
+/// O(1) as `members + RP(τ)·(1 − gang(τ)·(1 − tput(τ, T)))`. The
+/// estimators see the same co-location slices in the same order as
+/// `tnrp_set(T ++ [τ])`, whose sum is the left fold `(m₁ + … + m_k) + τ`,
+/// so every score is bit-identical to it.
 fn pack_one_instance(
-    remaining: &[&TaskSnapshot],
+    remaining: &[Candidate<'_>],
+    demands: &[ResourceVector],
     instance_type: &InstanceType,
     eval: &TnrpEvaluator<'_>,
 ) -> (Vec<usize>, f64) {
     let mut selected: Vec<usize> = Vec::new();
-    let mut set: Vec<&TaskSnapshot> = Vec::new();
+    let mut taken = vec![false; remaining.len()];
+    let mut members: Vec<(WorkloadKind, TnrpFactors)> = Vec::new();
+    // Joining workload → (members' TNRP sum, joiner's tput), for one step.
+    let mut memo: Vec<(WorkloadKind, f64, f64)> = Vec::new();
+    let mut others: Vec<WorkloadKind> = Vec::new();
     let mut used = ResourceVector::ZERO;
     let mut current_tnrp = 0.0;
 
     loop {
+        memo.clear();
         let mut best: Option<(usize, f64)> = None;
-        for (idx, task) in remaining.iter().enumerate() {
-            if selected.contains(&idx) {
+        for (idx, cand) in remaining.iter().enumerate() {
+            if taken[idx] {
                 continue;
             }
-            let demand = instance_type.demand_of(&task.demand);
-            let Some(total) = used.checked_add(&demand) else {
+            let Some(total) = used.checked_add(&demands[idx]) else {
                 continue;
             };
             if !total.fits_within(&instance_type.capacity) {
                 continue;
             }
-            set.push(task);
-            let tnrp = eval.tnrp_set(&set);
-            set.pop();
+            let workload = cand.task.workload;
+            let (members_sum, tput) = match memo.iter().find(|m| m.0 == workload) {
+                Some(&(_, sum, tput)) => (sum, tput),
+                None => {
+                    let (sum, tput) = eval.join_terms(&members, workload, &mut others);
+                    memo.push((workload, sum, tput));
+                    (sum, tput)
+                }
+            };
+            let tnrp = members_sum + cand.factors.tnrp(tput);
             // Strict improvement comparison with stable id tie-break keeps
             // the algorithm deterministic.
             let better = match best {
@@ -198,7 +247,7 @@ fn pack_one_instance(
                 Some((best_idx, best_tnrp)) => {
                     tnrp > best_tnrp + 1e-12
                         || ((tnrp - best_tnrp).abs() <= 1e-12
-                            && remaining[idx].id < remaining[best_idx].id)
+                            && cand.task.id < remaining[best_idx].task.id)
                 }
             };
             if better {
@@ -211,10 +260,9 @@ fn pack_one_instance(
             break;
         }
         selected.push(idx);
-        set.push(remaining[idx]);
-        used = used
-            .checked_add(&instance_type.demand_of(&remaining[idx].demand))
-            .unwrap_or(used);
+        taken[idx] = true;
+        members.push((remaining[idx].task.workload, remaining[idx].factors));
+        used = used.checked_add(&demands[idx]).unwrap_or(used);
         current_tnrp = tnrp;
     }
 

@@ -20,7 +20,7 @@ use eva_cloud::Catalog;
 use eva_types::{InstanceId, ResourceVector, TaskId};
 
 use crate::packing::{full_reconfiguration, PackedConfig};
-use crate::plan::{InstanceSnapshot, TaskSnapshot};
+use crate::plan::{index_by_id, InstanceSnapshot, TaskSnapshot};
 use crate::reservation::TnrpEvaluator;
 
 /// The outcome of Partial Reconfiguration.
@@ -46,6 +46,7 @@ impl PartialOutcome {
         eval: &TnrpEvaluator<'_>,
         instance_types: &BTreeMap<InstanceId, eva_types::InstanceTypeId>,
     ) -> f64 {
+        let by_id = index_by_id(tasks);
         let mut saving = self.packed.total_saving_dollars();
         for (id, task_ids) in &self.kept {
             let Some(type_id) = instance_types.get(id) else {
@@ -56,7 +57,7 @@ impl PartialOutcome {
             };
             let set: Vec<&TaskSnapshot> = task_ids
                 .iter()
-                .filter_map(|tid| tasks.iter().find(|t| t.id == *tid))
+                .filter_map(|tid| by_id.get(tid).copied())
                 .collect();
             saving += eval.tnrp_set(&set) - ty.hourly_cost.as_dollars();
         }

@@ -6,6 +6,8 @@
 //! tasks go where) plus the instances to terminate. Diffing the plan
 //! against the current assignment yields the migrations.
 
+use std::collections::HashMap;
+
 use eva_interference::TaskContext;
 use eva_types::{
     DemandSpec, InstanceId, InstanceTypeId, JobId, SimDuration, SimTime, TaskId, WorkloadKind,
@@ -129,10 +131,11 @@ impl Plan {
     /// (includes first-time placements onto new instances only when
     /// `count_initial` is set).
     pub fn migrations(&self, tasks: &[TaskSnapshot], count_initial: bool) -> Vec<TaskId> {
+        let by_id = index_by_id(tasks);
         let mut moved = Vec::new();
         for a in &self.assignments {
             for tid in &a.tasks {
-                let Some(snap) = tasks.iter().find(|t| t.id == *tid) else {
+                let Some(snap) = by_id.get(tid) else {
                     continue;
                 };
                 match (&a.instance, snap.assigned_to) {
@@ -160,6 +163,16 @@ impl Plan {
             .filter(|a| matches!(a.instance, PlannedInstance::New(_)))
             .count()
     }
+}
+
+/// Indexes `tasks` by id; the first snapshot wins on a repeated id, as a
+/// linear `find` would.
+pub(crate) fn index_by_id(tasks: &[TaskSnapshot]) -> HashMap<TaskId, &TaskSnapshot> {
+    let mut by_id = HashMap::with_capacity(tasks.len());
+    for t in tasks {
+        by_id.entry(t.id).or_insert(t);
+    }
+    by_id
 }
 
 /// A job-level throughput observation delivered to schedulers each round.

@@ -116,6 +116,23 @@ impl ReservationPrices {
     }
 }
 
+/// The set-independent constants of one task's TNRP (§4.3–4.4).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct TnrpFactors {
+    /// `RP(τ)` in dollars.
+    rp: f64,
+    /// `gang_size` for a gang-coupled task under multi-task awareness,
+    /// else 1.
+    gang: f64,
+}
+
+impl TnrpFactors {
+    /// `TNRP(τ, T) = RP(τ) × (1 − gang × (1 − tput(τ, T)))` in dollars.
+    pub(crate) fn tnrp(&self, tput: f64) -> f64 {
+        self.rp * (1.0 - self.gang * (1.0 - tput))
+    }
+}
+
 /// Evaluates throughput-normalized reservation prices for task sets.
 ///
 /// For a single-task job: `TNRP(τ, T) = tput(τ, T) × RP(τ)` (§4.3).
@@ -157,16 +174,54 @@ impl<'a> TnrpEvaluator<'a> {
         self.tput.estimate(task.workload, &others)
     }
 
-    /// `TNRP(τ, T)` in dollars (negative values allowed, §4.4).
-    pub fn tnrp_task(&self, task: &TaskSnapshot, set: &[&TaskSnapshot]) -> f64 {
-        let rp = self.prices.rp_dollars(task.id);
-        let tput = self.tput_in_set(task, set);
+    /// The set-independent constants of `TNRP(τ, ·)`: `RP(τ)` and the
+    /// gang factor.
+    pub(crate) fn factors(&self, task: &TaskSnapshot) -> TnrpFactors {
         let gang = if self.multi_task_aware && task.gang_coupled {
             f64::from(task.gang_size)
         } else {
             1.0
         };
-        rp * (1.0 - gang * (1.0 - tput))
+        TnrpFactors {
+            rp: self.prices.rp_dollars(task.id),
+            gang,
+        }
+    }
+
+    /// `TNRP(τ, T)` in dollars (negative values allowed, §4.4).
+    pub fn tnrp_task(&self, task: &TaskSnapshot, set: &[&TaskSnapshot]) -> f64 {
+        self.factors(task).tnrp(self.tput_in_set(task, set))
+    }
+
+    /// The two parts of `TNRP(T ∪ {τ})` that depend on the joiner `τ` only
+    /// through its workload `joiner`: `(Σ_{m∈T} TNRP(m, T ∪ {τ}), tput(τ, T))`.
+    ///
+    /// `members` lists `T` in set order with each member's workload and
+    /// [`factors`](Self::factors); `others` is scratch space. Member `m`
+    /// is estimated against `T∖{m}` followed by `joiner`, and the joiner
+    /// against `T` — exactly the slices [`tnrp_set`](Self::tnrp_set) builds
+    /// for `T ++ [τ]` (ids within a set are distinct). The member sum is
+    /// the same left fold, so `sum + factors(τ).tnrp(tput)` is bit-equal to
+    /// `tnrp_set(T ++ [τ])`.
+    pub(crate) fn join_terms(
+        &self,
+        members: &[(WorkloadKind, TnrpFactors)],
+        joiner: WorkloadKind,
+        others: &mut Vec<WorkloadKind>,
+    ) -> (f64, f64) {
+        let members_sum = (0..members.len())
+            .map(|i| {
+                others.clear();
+                others.extend(members[..i].iter().map(|m| m.0));
+                others.extend(members[i + 1..].iter().map(|m| m.0));
+                others.push(joiner);
+                let (workload, factors) = members[i];
+                factors.tnrp(self.tput.estimate(workload, others))
+            })
+            .sum();
+        others.clear();
+        others.extend(members.iter().map(|m| m.0));
+        (members_sum, self.tput.estimate(joiner, others))
     }
 
     /// `TNRP(T) = Σ_{τ∈T} TNRP(τ, T)` in dollars.

@@ -7,7 +7,7 @@
 //! type with maximal task overlap so that unchanged assignments migrate
 //! nothing — and (4) picks one via the Equation 1 criterion.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use eva_interference::ThroughputMonitor;
 use eva_types::{InstanceId, InstanceTypeId, JobId, TaskId};
@@ -16,7 +16,10 @@ use crate::config::{EvaConfig, ReconfigMode};
 use crate::decision::{DecisionInputs, EventRateEstimator, ReconfigDecision};
 use crate::packing::{full_reconfiguration, PackedConfig};
 use crate::partial::partial_reconfiguration;
-use crate::plan::{Assignment, JobObservation, Plan, PlannedInstance, Scheduler, SchedulerContext};
+use crate::plan::{
+    index_by_id, Assignment, JobObservation, Plan, PlannedInstance, Scheduler, SchedulerContext,
+    TaskSnapshot,
+};
 use crate::reservation::{ReservationPrices, TnrpEvaluator, TputEstimator, UnitTput};
 
 /// The Eva scheduler (§4).
@@ -160,14 +163,15 @@ impl EvaScheduler {
     /// (the paper computes `M` from "task migration delays and the cost of
     /// the involved instances"). First placements cost the same under both
     /// candidate plans and are excluded.
-    fn migration_cost_dollars(&self, plan: &Plan, ctx: &SchedulerContext<'_>) -> f64 {
+    fn migration_cost_dollars(
+        plan: &Plan,
+        ctx: &SchedulerContext<'_>,
+        by_id: &HashMap<TaskId, &TaskSnapshot>,
+        instance_types: &BTreeMap<InstanceId, InstanceTypeId>,
+    ) -> f64 {
         let type_cost = |instance: &PlannedInstance| -> f64 {
             let type_id = match instance {
-                PlannedInstance::Existing(id) => ctx
-                    .instances
-                    .iter()
-                    .find(|i| i.id == *id)
-                    .map(|i| i.type_id),
+                PlannedInstance::Existing(id) => instance_types.get(id).copied(),
                 PlannedInstance::New(ty) => Some(*ty),
             };
             type_id
@@ -179,7 +183,7 @@ impl EvaScheduler {
         for a in &plan.assignments {
             let dest_cost = type_cost(&a.instance);
             for tid in &a.tasks {
-                let Some(snap) = ctx.tasks.iter().find(|t| t.id == *tid) else {
+                let Some(snap) = by_id.get(tid) else {
                     continue;
                 };
                 let moved = match (&a.instance, snap.assigned_to) {
@@ -250,8 +254,9 @@ impl Scheduler for EvaScheduler {
         let instance_types: BTreeMap<InstanceId, InstanceTypeId> =
             ctx.instances.iter().map(|i| (i.id, i.type_id)).collect();
         let s_p = partial_out.total_saving_dollars(ctx.tasks, ctx.catalog, &eval, &instance_types);
-        let m_f = self.migration_cost_dollars(&full_plan, ctx);
-        let m_p = self.migration_cost_dollars(&partial_plan, ctx);
+        let by_id = index_by_id(ctx.tasks);
+        let m_f = Self::migration_cost_dollars(&full_plan, ctx, &by_id, &instance_types);
+        let m_p = Self::migration_cost_dollars(&partial_plan, ctx, &by_id, &instance_types);
 
         let decision = match self.cfg.mode {
             ReconfigMode::FullOnly => ReconfigDecision::Full,
