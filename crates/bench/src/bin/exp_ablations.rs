@@ -116,5 +116,4 @@ fn main() {
     print_row(&art.spliced, "Eva (short-horizon prior p = 0.9)");
 
     save_json("ablations.json", &art);
-    eva_bench::finish();
 }

@@ -46,5 +46,4 @@ fn main() {
         println!();
     }
     println!("\nSpot checks (paper values): GPT2|ResNet18 = 0.79, GCN|A3C = 0.65, CycleGAN|GraphSAGE = 1.00");
-    eva_bench::finish();
 }

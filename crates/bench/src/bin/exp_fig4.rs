@@ -46,5 +46,4 @@ fn main() {
         }
     }
     save_json("fig4.json", &art);
-    eva_bench::finish();
 }

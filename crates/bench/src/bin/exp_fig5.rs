@@ -41,5 +41,4 @@ fn main() {
         );
     }
     save_json("fig5.json", &(base, art));
-    eva_bench::finish();
 }

@@ -50,5 +50,4 @@ fn main() {
         );
     }
     save_json("fig6.json", &art);
-    eva_bench::finish();
 }

@@ -39,5 +39,4 @@ fn main() {
         );
     }
     save_json("fig8.json", &art);
-    eva_bench::finish();
 }

@@ -25,11 +25,6 @@
 //!   open-loop synthetic source, rolling metrics into a sink):
 //!   sustained jobs per second and the RSS plateau of a long-lived
 //!   scheduler process (child process, `VmHWM` in kB).
-//! * `federated` — a cold ≥20-cell grid of light cells swept twice from
-//!   scratch: once single-process, once under a two-process
-//!   [`eva_sim::Federation`] (claim files over a throwaway cache dir),
-//!   asserting the merged JSON is byte-identical and recording both
-//!   throughputs.
 //! * peak RSS (`VmHWM` from `/proc/self/status`) snapshotted after the
 //!   sweep, plus the huge-100k child's own high-water mark.
 //!
@@ -46,8 +41,6 @@
 //!   most recent one (informational — regressions warn, never fail)
 //!   and flags any metric the previous snapshot had that the new one
 //!   dropped (schema-drift guard).
-//! * `--fed-worker DIR` — internal: what the federated probe's spawned
-//!   worker runs; sweeps only the federated grid against cache `DIR`.
 //! * `--huge-worker 100k|1m` / `--serve-worker` — internal: run one
 //!   probe in a child process and print its JSON result, so `VmHWM`
 //!   measures that probe alone.
@@ -58,16 +51,13 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use eva_core::EvaConfig;
-use eva_sim::{
-    join_workers, serve, ClusterSim, Federation, ReportCache, SchedulerKind, ServeConfig,
-    SimConfig, SweepGrid, SweepRunner,
-};
+use eva_sim::{serve, ClusterSim, SchedulerKind, ServeConfig, SimConfig, SweepGrid, SweepRunner};
 use eva_types::SimDuration;
 use eva_workloads::{
     SyntheticSource, SyntheticTraceConfig, Trace, TraceHandle, UniformHours,
 };
 
-const SCHEMA: &str = "eva-perf-v4";
+const SCHEMA: &str = "eva-perf-v5";
 
 /// The committed snapshot format. `--check` round-trips a file through
 /// this struct, so adding a field here is a schema change CI will catch.
@@ -80,7 +70,6 @@ struct BenchSnapshot {
     huge_100k: HugeProbe,
     huge_1m: Option<HugeProbe>,
     serve: ServeProbe,
-    federated: FederatedProbe,
     peak_rss_mb: RssProbe,
 }
 
@@ -101,19 +90,6 @@ struct SweepProbe {
     cells: usize,
     wall_secs: f64,
     cells_per_sec: f64,
-}
-
-/// Cold multi-process sweep vs the same grid single-process. Both runs
-/// start from empty throwaway cache dirs, and the probe asserts their
-/// merged JSON is byte-identical before reporting throughput.
-#[derive(Debug, Serialize, Deserialize)]
-struct FederatedProbe {
-    procs: usize,
-    cells: usize,
-    wall_secs: f64,
-    cells_per_sec: f64,
-    procs1_wall_secs: f64,
-    procs1_cells_per_sec: f64,
 }
 
 /// One end-to-end run of a huge synthetic tier.
@@ -234,76 +210,6 @@ fn probe_sweep() -> SweepProbe {
         cells: result.cells.len(),
         wall_secs,
         cells_per_sec: result.cells.len() as f64 / wall_secs.max(1e-9),
-    }
-}
-
-/// The federated probe's grid: 30 deliberately light cells (a short
-/// dense trace × the five paper schedulers × six seeds) so claim/merge
-/// overhead — not simulation time — dominates what the probe measures.
-fn fed_grid() -> SweepGrid {
-    SweepGrid::new("fed", dense_trace(30))
-        .paper_schedulers()
-        .seeds(vec![1, 2, 3, 4, 5, 6])
-}
-
-/// A throwaway cold cache dir for one half of the federated probe.
-fn fed_probe_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("eva-perf-fed-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// What a spawned `--fed-worker DIR` process runs: only the federated
-/// grid, claiming cells against the coordinator's cache dir.
-fn run_fed_worker(dir: PathBuf) {
-    let runner = SweepRunner::new(eva_bench::default_threads())
-        .with_cache(ReportCache::new(dir))
-        .with_federation(Federation::new(1));
-    runner.run_with_stats(&fed_grid());
-}
-
-fn probe_federated(procs: usize) -> FederatedProbe {
-    let grid = fed_grid();
-
-    // Cold single-process baseline on its own cache dir.
-    let base_dir = fed_probe_dir("base");
-    let runner = SweepRunner::new(eva_bench::default_threads())
-        .with_cache(ReportCache::new(base_dir.clone()));
-    let start = Instant::now();
-    let (baseline, _) = runner.run_with_stats(&grid);
-    let procs1_wall_secs = start.elapsed().as_secs_f64();
-
-    // Cold federated run: same grid, fresh dir, `procs - 1` spawned
-    // workers claiming cells alongside the coordinator.
-    let fed_dir = fed_probe_dir("run");
-    let fed = Federation::new(procs).worker_args(vec![
-        "--fed-worker".to_string(),
-        fed_dir.display().to_string(),
-    ]);
-    let runner = SweepRunner::new(eva_bench::default_threads())
-        .with_cache(ReportCache::new(fed_dir.clone()))
-        .with_federation(fed);
-    let start = Instant::now();
-    let (federated, _) = runner.run_with_stats(&grid);
-    let wall_secs = start.elapsed().as_secs_f64();
-    join_workers();
-
-    let same = serde_json::to_string(&federated).ok() == serde_json::to_string(&baseline).ok();
-    let _ = std::fs::remove_dir_all(&base_dir);
-    let _ = std::fs::remove_dir_all(&fed_dir);
-    if !same {
-        eprintln!("error: federated merge diverged from the single-process run");
-        std::process::exit(1);
-    }
-
-    let cells = grid.cells().len();
-    FederatedProbe {
-        procs,
-        cells,
-        wall_secs,
-        cells_per_sec: cells as f64 / wall_secs.max(1e-9),
-        procs1_wall_secs,
-        procs1_cells_per_sec: cells as f64 / procs1_wall_secs.max(1e-9),
     }
 }
 
@@ -498,9 +404,13 @@ fn missing_metrics(prev: &serde_json::Value, cur: &serde_json::Value) -> Vec<Str
 
 /// The most recent committed `BENCH_*.json` sorting strictly before
 /// `path` in its own directory (dates are `YYYY-MM-DD`, so filename
-/// order is date order).
+/// order is date order). A bare file name (as CI passes it) has an
+/// empty parent, which means the current directory.
 fn previous_snapshot(path: &std::path::Path) -> Option<PathBuf> {
-    let dir = path.parent()?;
+    let dir = match path.parent()? {
+        d if d.as_os_str().is_empty() => std::path::Path::new("."),
+        d => d,
+    };
     let name = path.file_name()?.to_str()?.to_string();
     std::fs::read_dir(dir)
         .ok()?
@@ -606,15 +516,6 @@ fn check_snapshot(path: &str) -> Result<(), String> {
     if snap.serve.peak_job_rows == 0 || snap.serve.peak_job_rows >= snap.serve.jobs {
         return Err("serve probe must show arena rows bounded below total jobs".to_string());
     }
-    if snap.federated.procs < 2 {
-        return Err("federated probe must use at least two processes".to_string());
-    }
-    if snap.federated.cells < 20 {
-        return Err("federated probe must cover at least 20 cells".to_string());
-    }
-    if snap.federated.cells_per_sec <= 0.0 || snap.federated.procs1_cells_per_sec <= 0.0 {
-        return Err("federated probe must report both throughputs".to_string());
-    }
     Ok(())
 }
 
@@ -626,14 +527,6 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--fed-worker" => {
-                let Some(dir) = args.next().map(PathBuf::from) else {
-                    eprintln!("error: --fed-worker needs a cache dir");
-                    std::process::exit(2);
-                };
-                run_fed_worker(dir);
-                return;
-            }
             "--huge-worker" => {
                 let mut probe = match args.next().as_deref() {
                     Some("100k") => probe_huge(SyntheticTraceConfig::huge_100k()),
@@ -749,14 +642,6 @@ fn main() {
         serve_probe.rss_plateau_kb
     );
 
-    println!("   probing federated sweep (2 processes, cold claim-coordinated grid)...");
-    let federated = probe_federated(2);
-    println!(
-        "   {} cells in {:.2}s ({:.1} cells/s federated, {:.1} cells/s single-process)",
-        federated.cells, federated.wall_secs, federated.cells_per_sec,
-        federated.procs1_cells_per_sec
-    );
-
     let huge_1m = full.then(|| {
         println!("   probing huge-1m (Stratus, streamed from the generator, child process)...");
         let p: HugeProbe = spawn_probe(&["--huge-worker", "1m"]);
@@ -781,7 +666,6 @@ fn main() {
         huge_100k,
         huge_1m,
         serve: serve_probe,
-        federated,
         peak_rss_mb: RssProbe {
             after_sweep,
             after_huge_100k,

@@ -41,5 +41,4 @@ fn main() {
     }
     stats("Job Checkpointing", &ckpt);
     stats("Job Launching", &launch);
-    eva_bench::finish();
 }

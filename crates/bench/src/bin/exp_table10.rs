@@ -48,5 +48,4 @@ fn main() {
         println!();
     }
     save_json("table10_fig3.json", &reports);
-    eva_bench::finish();
 }

@@ -151,5 +151,4 @@ fn main() {
         },
     );
     save_json("table12_robustness.json", &rows);
-    eva_bench::finish();
 }

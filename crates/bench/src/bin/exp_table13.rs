@@ -15,5 +15,4 @@ fn main() {
         "Table 13: Alibaba trace, Alibaba durations",
     );
     save_json("table13.json", &reports);
-    eva_bench::finish();
 }

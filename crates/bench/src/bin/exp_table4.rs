@@ -131,5 +131,4 @@ fn main() {
         "1.00",
         format!("≤{time_limit:?}")
     );
-    eva_bench::finish();
 }

@@ -75,5 +75,4 @@ fn main() {
             if row.from_cache { "  [cached]" } else { "" }
         );
     }
-    eva_bench::finish();
 }

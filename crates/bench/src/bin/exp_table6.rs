@@ -92,5 +92,4 @@ fn main() {
             std(&jcts)
         );
     }
-    eva_bench::finish();
 }

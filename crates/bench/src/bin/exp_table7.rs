@@ -25,5 +25,4 @@ fn main() {
             if w.gang_coupled { ", gang-coupled" } else { "" },
         );
     }
-    eva_bench::finish();
 }

@@ -33,5 +33,4 @@ fn main() {
         .map(|_| GavelDurations.sample(&mut rng).as_hours_f64())
         .collect();
     row("Gavel", &mut g, [16.7, 4.5, 16.4, 96.6]);
-    eva_bench::finish();
 }

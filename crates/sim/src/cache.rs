@@ -16,7 +16,8 @@
 //! verified on lookup, so a (vanishingly unlikely) hash collision reads
 //! as a miss, never as a wrong report. Writes go through a temp file +
 //! rename, so concurrent writers at worst race to publish identical
-//! bytes.
+//! bytes. The dir therefore holds only entries (`<fnv>.json`) and
+//! in-flight write temps (`<fnv>.tmp.<pid>`).
 //!
 //! **Provenance**: every entry carries a `producer` field stamped at
 //! store time — the binary (experiment) that first computed the cell.
@@ -24,16 +25,6 @@
 //! `eva cache stats` breaks entries down by producer, so a shared or
 //! merged cache dir stays auditable: you can see which experiment paid
 //! for which cells.
-//!
-//! **Federation**: the cache dir doubles as the coordination substrate
-//! for multi-process sweeps (see [`crate::federate`]). A worker that
-//! wants to compute a cell first takes a *claim* — an atomically
-//! created `<fnv>.claim` file next to the entry carrying its pid, host,
-//! and a timestamp ([`ReportCache::try_claim`]). Claims are advisory
-//! (work is idempotent and publishes identical bytes) and stealable:
-//! a claim whose process is dead, or whose age exceeds the staleness
-//! deadline, is removed and re-taken, so a killed worker never wedges a
-//! federated run.
 //!
 //! **Invalidation**: bump [`SCHEMA_VERSION`] whenever simulation
 //! semantics or the serialized report shape change — old entries then
@@ -45,9 +36,9 @@
 //! removes them.
 
 use std::path::{Path, PathBuf};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime};
 
-use serde::{Deserialize, Number, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 /// Version tag mixed into every cache key. Bump on any change to
 /// simulation semantics, report fields, or key composition.
@@ -73,21 +64,6 @@ fn tmp_stale_deadline() -> Duration {
         .and_then(|v| v.parse().ok())
         .unwrap_or(TMP_STALE_SECS_DEFAULT);
     Duration::from_secs(secs)
-}
-
-/// Milliseconds since the Unix epoch (claim timestamps).
-fn now_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
-/// This machine's name, for claim ownership across a synced cache dir.
-fn local_host() -> String {
-    std::fs::read_to_string("/proc/sys/kernel/hostname")
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|_| "?".to_string())
 }
 
 /// True when pid liveness can be checked at all (Linux procfs).
@@ -122,8 +98,8 @@ fn file_age(path: &Path) -> Option<Duration> {
         .and_then(|t| SystemTime::now().duration_since(t).ok())
 }
 
-/// True for the temp-file names [`ReportCache::store`] and claim
-/// creation use (`<stem>.tmp.<pid>`).
+/// True for the temp-file names [`ReportCache::store`] and
+/// [`ReportCache::merge_from`] write through (`<stem>.tmp.<pid>`).
 fn is_temp_name(name: &str) -> bool {
     name.contains(".tmp.")
 }
@@ -131,14 +107,6 @@ fn is_temp_name(name: &str) -> bool {
 /// The pid embedded in a `<stem>.tmp.<pid>` temp name, if any.
 fn temp_pid(name: &str) -> Option<u32> {
     name.rsplit('.').next().and_then(|p| p.parse().ok())
-}
-
-/// A JSON value as `u64`, if it is a number (claim-body fields).
-fn value_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::Number(n) => n.as_u64(),
-        _ => None,
-    }
 }
 
 /// A directory-backed report store keyed by content fingerprints.
@@ -204,12 +172,6 @@ impl ReportCache {
         R::deserialize(value.get_field("value")?).ok()
     }
 
-    /// True when an entry is stored under `key` (a metadata probe — no
-    /// read or validation; the federated wait loop polls this).
-    pub fn contains(&self, key: &str) -> bool {
-        self.path_for(key).exists()
-    }
-
     /// Stores `value` under `key`, stamped with this cache's provenance
     /// (which binary produced the cell). Failures are reported to stderr
     /// and otherwise ignored: a broken cache must never fail an
@@ -263,114 +225,8 @@ impl ReportCache {
             .join(format!("{:016x}.json", eva_types::fnv1a64(tagged.as_bytes())))
     }
 
-    /// The claim-file path guarding the entry stored under `key`.
-    pub fn claim_path(&self, key: &str) -> PathBuf {
-        self.path_for(key).with_extension("claim")
-    }
-
-    /// Attempts to claim `key` for this process.
-    ///
-    /// A claim is an atomically created `<fnv>.claim` file carrying this
-    /// process's pid, host, and a timestamp. An existing claim blocks
-    /// ([`ClaimAttempt::Held`]) unless it is *stealable* — its holder is
-    /// a dead pid on this host, or its age exceeds `stale` — in which
-    /// case it is removed and re-taken. Creation uses a temp file plus
-    /// an atomic `hard_link`, so of two racing claimants exactly one
-    /// acquires. Claims are advisory: cell work is idempotent and racing
-    /// publishers at worst store identical bytes, so on filesystems
-    /// without hard links the claim degrades to acquired (with a
-    /// warning) rather than wedging the run.
-    pub fn try_claim(&self, key: &str, stale: Duration) -> ClaimAttempt {
-        let path = self.claim_path(key);
-        if path.exists() {
-            match self.read_claim_at(&path) {
-                Some(info) if !info.stealable(stale) => return ClaimAttempt::Held(info),
-                Some(_) => {
-                    let _ = std::fs::remove_file(&path);
-                }
-                None => {
-                    // Unreadable/corrupt claim: nobody can release it.
-                    // Steal once it outlives the deadline by mtime.
-                    match file_age(&path) {
-                        Some(age) if age > stale => {
-                            let _ = std::fs::remove_file(&path);
-                        }
-                        Some(age) => {
-                            return ClaimAttempt::Held(ClaimInfo {
-                                pid: 0,
-                                host: "?".to_string(),
-                                ts_ms: now_ms().saturating_sub(age.as_millis() as u64),
-                                key: key.to_string(),
-                            });
-                        }
-                        // File vanished between exists() and read: the
-                        // holder just released — fall through and race
-                        // for a fresh claim.
-                        None => {}
-                    }
-                }
-            }
-        }
-        if let Err(e) = std::fs::create_dir_all(&self.dir) {
-            eprintln!("warning: cannot create cache dir {}: {e}", self.dir.display());
-            return ClaimAttempt::Acquired(ClaimGuard { path: None });
-        }
-        let body = Value::Object(vec![
-            ("pid".to_string(), Value::Number(Number::U(u64::from(std::process::id())))),
-            ("host".to_string(), Value::String(local_host())),
-            ("ts_ms".to_string(), Value::Number(Number::U(now_ms()))),
-            ("key".to_string(), Value::String(key.to_string())),
-        ]);
-        let json = serde_json::to_string(&body).expect("claim bodies serialize");
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        if let Err(e) = std::fs::write(&tmp, json) {
-            eprintln!("warning: cannot write claim temp {}: {e}", tmp.display());
-            return ClaimAttempt::Acquired(ClaimGuard { path: None });
-        }
-        let linked = std::fs::hard_link(&tmp, &path);
-        let _ = std::fs::remove_file(&tmp);
-        match linked {
-            Ok(()) => ClaimAttempt::Acquired(ClaimGuard { path: Some(path) }),
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                match self.read_claim_at(&path) {
-                    Some(info) => ClaimAttempt::Held(info),
-                    None => ClaimAttempt::Held(ClaimInfo {
-                        pid: 0,
-                        host: "?".to_string(),
-                        ts_ms: now_ms(),
-                        key: key.to_string(),
-                    }),
-                }
-            }
-            Err(e) => {
-                eprintln!(
-                    "warning: claim link {} failed ({e}); proceeding unclaimed",
-                    path.display()
-                );
-                ClaimAttempt::Acquired(ClaimGuard { path: None })
-            }
-        }
-    }
-
-    /// Reads the claim currently guarding `key`, if any.
-    pub fn read_claim(&self, key: &str) -> Option<ClaimInfo> {
-        self.read_claim_at(&self.claim_path(key))
-    }
-
-    fn read_claim_at(&self, path: &Path) -> Option<ClaimInfo> {
-        let text = std::fs::read_to_string(path).ok()?;
-        let value = serde_json::from_str_value(&text).ok()?;
-        Some(ClaimInfo {
-            pid: value_u64(value.get_field("pid")?)? as u32,
-            host: value.get_field("host")?.as_str()?.to_string(),
-            ts_ms: value_u64(value.get_field("ts_ms")?)?,
-            key: value.get_field("key")?.as_str()?.to_string(),
-        })
-    }
-
-    /// Removes orphaned `.tmp` files (from entry writes *and* claim
-    /// creation) whose writer pid is dead on this host or whose age
-    /// exceeds `deadline`. Returns the removed paths. Called on every
+    /// Removes orphaned `.tmp` files whose writer pid is dead on this
+    /// host or whose age exceeds `deadline`. Returns the removed paths. Called on every
     /// [`ReportCache::new`], so a killed run's litter disappears the
     /// next time any experiment opens the cache.
     pub fn sweep_stale_temps(&self, deadline: Duration) -> Vec<PathBuf> {
@@ -394,75 +250,6 @@ impl ReportCache {
             }
         }
         removed
-    }
-}
-
-/// Who holds a claim: the publishing process's identity and when it
-/// claimed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClaimInfo {
-    /// Claiming process id.
-    pub pid: u32,
-    /// Claiming host name (claims travel with synced cache dirs).
-    pub host: String,
-    /// Claim creation time, milliseconds since the Unix epoch.
-    pub ts_ms: u64,
-    /// The cell key the claim guards.
-    pub key: String,
-}
-
-impl ClaimInfo {
-    /// Claim age by its own timestamp.
-    pub fn age(&self) -> Duration {
-        Duration::from_millis(now_ms().saturating_sub(self.ts_ms))
-    }
-
-    /// True when the claim may be removed and re-taken: its holder is a
-    /// dead pid on this host, or it has outlived the staleness deadline
-    /// (the only signal available for claims from other hosts).
-    pub fn stealable(&self, stale: Duration) -> bool {
-        if procfs_available() && self.host == local_host() && !pid_alive(self.pid) {
-            return true;
-        }
-        self.age() > stale
-    }
-}
-
-/// Outcome of [`ReportCache::try_claim`].
-#[derive(Debug)]
-pub enum ClaimAttempt {
-    /// This process holds the claim; drop (or
-    /// [`ClaimGuard::release`]) it after publishing.
-    Acquired(ClaimGuard),
-    /// Another live claimant holds it — skip for now and revisit.
-    Held(ClaimInfo),
-}
-
-/// An acquired claim; removing the claim file on drop, so a panicking
-/// worker (whose stack unwinds) frees the cell immediately rather than
-/// waiting out the staleness deadline. A SIGKILL leaves the file behind
-/// — that is the stealable-claim path.
-#[derive(Debug)]
-pub struct ClaimGuard {
-    path: Option<PathBuf>,
-}
-
-impl ClaimGuard {
-    /// Removes the claim file (idempotent; drop does the same).
-    pub fn release(mut self) {
-        self.remove();
-    }
-
-    fn remove(&mut self) {
-        if let Some(path) = self.path.take() {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-impl Drop for ClaimGuard {
-    fn drop(&mut self) {
-        self.remove();
     }
 }
 
@@ -495,8 +282,6 @@ pub struct CacheStats {
     pub producers: Vec<(String, usize)>,
     /// Orphaned temp files present.
     pub temps: usize,
-    /// Claim files present.
-    pub claims: usize,
 }
 
 /// One problem `eva cache verify` found.
@@ -509,8 +294,8 @@ pub struct VerifyIssue {
 }
 
 /// Result of `eva cache verify`: entries re-hashed against their stored
-/// keys, plus the orphaned `.tmp` and leftover `.claim` files a healthy
-/// idle cache must not contain.
+/// keys, plus the orphaned `.tmp` files a healthy idle cache must not
+/// contain.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct VerifyReport {
     /// Entry files examined.
@@ -524,15 +309,13 @@ pub struct VerifyReport {
     pub issues: Vec<VerifyIssue>,
     /// Orphaned temp files (named `<stem>.tmp.<pid>`).
     pub temps: Vec<String>,
-    /// Claim files, annotated with holder and staleness.
-    pub claims: Vec<String>,
 }
 
 impl VerifyReport {
     /// True when the cache is healthy and idle: every entry valid, no
-    /// temps, no claims.
+    /// temps.
     pub fn clean(&self) -> bool {
-        self.issues.is_empty() && self.temps.is_empty() && self.claims.is_empty()
+        self.issues.is_empty() && self.temps.is_empty()
     }
 }
 
@@ -547,14 +330,11 @@ pub struct PruneReport {
     pub removed_corrupt: usize,
     /// Stale temp files removed.
     pub removed_temps: usize,
-    /// Stale claim files removed (live claims are left alone — a fleet
-    /// may be running).
-    pub removed_claims: usize,
     /// Entries kept.
     pub kept: usize,
 }
 
-/// Counters for `eva cache import`/`merge`/`export`.
+/// Counters for `eva cache merge`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MergeReport {
     /// Entries copied over.
@@ -621,8 +401,6 @@ impl ReportCache {
             let Some(name) = name else { continue };
             if is_temp_name(&name) {
                 stats.temps += 1;
-            } else if name.ends_with(".claim") {
-                stats.claims += 1;
             } else if name.ends_with(".json") {
                 stats.entries += 1;
                 stats.bytes += std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
@@ -649,10 +427,8 @@ impl ReportCache {
     /// Re-validates every entry against its stored key: the entry must
     /// parse, carry `schema`/`key`/`value` fields, and live under the
     /// file name its own `schema|key` hashes to. Also reports the
-    /// orphaned `.tmp` and leftover `.claim` files an idle cache must
-    /// not contain. `stale` annotates which claims are already
-    /// stealable.
-    pub fn verify(&self, stale: Duration) -> VerifyReport {
+    /// orphaned `.tmp` files an idle cache must not contain.
+    pub fn verify(&self) -> VerifyReport {
         let mut report = VerifyReport::default();
         for path in self.dir_files() {
             let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
@@ -665,19 +441,6 @@ impl ReportCache {
                 report
                     .temps
                     .push(format!("{name}{}", if dead { " (writer dead)" } else { "" }));
-                continue;
-            }
-            if name.ends_with(".claim") {
-                match self.read_claim_at(&path) {
-                    Some(info) => report.claims.push(format!(
-                        "{name} (pid {} on {}, {:.0}s old{})",
-                        info.pid,
-                        info.host,
-                        info.age().as_secs_f64(),
-                        if info.stealable(stale) { ", stealable" } else { "" }
-                    )),
-                    None => report.claims.push(format!("{name} (unreadable)")),
-                }
                 continue;
             }
             if !name.ends_with(".json") {
@@ -716,9 +479,9 @@ impl ReportCache {
     }
 
     /// Removes retired-schema entries (when `retired`), entries older
-    /// than `max_age` (when given), corrupt entries, stale temps, and
-    /// stealable claims. Live claims and current entries stay.
-    pub fn prune(&self, max_age: Option<Duration>, retired: bool, stale: Duration) -> PruneReport {
+    /// than `max_age` (when given), corrupt entries, and stale temps.
+    /// Current entries stay.
+    pub fn prune(&self, max_age: Option<Duration>, retired: bool) -> PruneReport {
         let mut report = PruneReport {
             removed_temps: self.sweep_stale_temps(tmp_stale_deadline()).len(),
             ..PruneReport::default()
@@ -727,16 +490,6 @@ impl ReportCache {
             let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
                 continue;
             };
-            if name.ends_with(".claim") {
-                let stealable = match self.read_claim_at(&path) {
-                    Some(info) => info.stealable(stale),
-                    None => file_age(&path).is_some_and(|age| age > stale),
-                };
-                if stealable && std::fs::remove_file(&path).is_ok() {
-                    report.removed_claims += 1;
-                }
-                continue;
-            }
             if !name.ends_with(".json") || is_temp_name(&name) {
                 continue;
             }
@@ -840,13 +593,6 @@ impl ReportCache {
         }
         report
     }
-
-    /// Exports every valid entry of this cache into `dst` (the reverse
-    /// direction of [`ReportCache::merge_from`], same validation and
-    /// conflict rules).
-    pub fn export_to(&self, dst: &Path) -> MergeReport {
-        ReportCache::with_schema(dst, self.schema.clone()).merge_from(&self.dir)
-    }
 }
 
 #[cfg(test)]
@@ -943,8 +689,6 @@ mod tests {
     /// A pid above the kernel's pid_max, so `/proc/<pid>` never exists.
     const DEAD_PID: u32 = 4_294_967_295;
 
-    const STALE: Duration = Duration::from_secs(600);
-
     #[test]
     fn entries_carry_provenance_and_lookup_ignores_it() {
         let dir = tmp_dir("provenance");
@@ -958,71 +702,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.producers, vec![("elsewhere".to_string(), 1)]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn claim_excludes_second_claimant_until_released() {
-        let dir = tmp_dir("claim-basic");
-        let cache = ReportCache::new(&dir);
-        let guard = match cache.try_claim("cell", STALE) {
-            ClaimAttempt::Acquired(g) => g,
-            ClaimAttempt::Held(info) => panic!("fresh claim held by {info:?}"),
-        };
-        let info = cache.read_claim("cell").expect("claim file readable");
-        assert_eq!(info.pid, std::process::id());
-        assert_eq!(info.key, "cell");
-        assert!(!info.stealable(STALE), "own live claim must not be stealable");
-        match cache.try_claim("cell", STALE) {
-            ClaimAttempt::Held(held) => assert_eq!(held.pid, std::process::id()),
-            ClaimAttempt::Acquired(_) => panic!("second claimant must be excluded"),
-        }
-        guard.release();
-        assert!(cache.read_claim("cell").is_none(), "release removes the file");
-        match cache.try_claim("cell", STALE) {
-            ClaimAttempt::Acquired(_) => {}
-            ClaimAttempt::Held(info) => panic!("released claim still held by {info:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn dropping_the_guard_releases_the_claim() {
-        let dir = tmp_dir("claim-drop");
-        let cache = ReportCache::new(&dir);
-        {
-            let _guard = match cache.try_claim("cell", STALE) {
-                ClaimAttempt::Acquired(g) => g,
-                ClaimAttempt::Held(_) => panic!("fresh claim held"),
-            };
-            assert!(cache.read_claim("cell").is_some());
-        }
-        assert!(cache.read_claim("cell").is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn dead_holder_claim_is_stolen() {
-        let dir = tmp_dir("claim-steal");
-        let cache = ReportCache::new(&dir);
-        // Plant a claim whose holder pid cannot exist on this host.
-        std::fs::create_dir_all(&dir).unwrap();
-        let planted = format!(
-            "{{\"pid\":{DEAD_PID},\"host\":\"{}\",\"ts_ms\":{},\"key\":\"cell\"}}",
-            local_host(),
-            now_ms()
-        );
-        std::fs::write(cache.claim_path("cell"), planted).unwrap();
-        let info = cache.read_claim("cell").unwrap();
-        assert!(info.stealable(STALE), "dead-pid claim must be stealable");
-        match cache.try_claim("cell", STALE) {
-            ClaimAttempt::Acquired(g) => {
-                let retaken = cache.read_claim("cell").unwrap();
-                assert_eq!(retaken.pid, std::process::id());
-                g.release();
-            }
-            ClaimAttempt::Held(info) => panic!("stealable claim not stolen: {info:?}"),
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1045,7 +724,7 @@ mod tests {
         let dir = tmp_dir("verify");
         let cache = ReportCache::new(&dir);
         cache.store("good", &report(1.0));
-        assert!(cache.verify(STALE).clean());
+        assert!(cache.verify().clean());
 
         // Mis-filed entry: valid JSON whose key hashes elsewhere.
         let good_bytes = std::fs::read_to_string(cache.path_for("good")).unwrap();
@@ -1054,12 +733,8 @@ mod tests {
         std::fs::write(dir.join("1111111111111111.json"), "{ nope").unwrap();
         // Litter.
         std::fs::write(dir.join(format!("2222222222222222.tmp.{DEAD_PID}")), "{}").unwrap();
-        let _held = match cache.try_claim("good", STALE) {
-            ClaimAttempt::Acquired(g) => g,
-            ClaimAttempt::Held(_) => panic!("fresh claim held"),
-        };
 
-        let report = cache.verify(STALE);
+        let report = cache.verify();
         assert_eq!(report.entries, 3);
         assert_eq!(report.valid, 1);
         assert_eq!(report.issues.len(), 2);
@@ -1068,7 +743,6 @@ mod tests {
             .iter()
             .any(|i| i.file == "0000000000000000.json" && i.problem.contains("wrong hash")));
         assert_eq!(report.temps.len(), 1);
-        assert_eq!(report.claims.len(), 1);
         assert!(!report.clean());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1082,25 +756,13 @@ mod tests {
         cache.store("current", &report(2.0));
         std::fs::write(dir.join("1111111111111111.json"), "{ nope").unwrap();
         std::fs::write(dir.join(format!("2222222222222222.tmp.{DEAD_PID}")), "{}").unwrap();
-        // A dead holder's claim is stale; prune removes it.
-        std::fs::write(
-            cache.claim_path("current"),
-            format!(
-                "{{\"pid\":{DEAD_PID},\"host\":\"{}\",\"ts_ms\":{},\"key\":\"current\"}}",
-                local_host(),
-                now_ms()
-            ),
-        )
-        .unwrap();
-
-        let pruned = cache.prune(None, true, STALE);
+        let pruned = cache.prune(None, true);
         assert_eq!(pruned.removed_retired, 1);
         assert_eq!(pruned.removed_corrupt, 1);
         assert_eq!(pruned.removed_temps, 1);
-        assert_eq!(pruned.removed_claims, 1);
         assert_eq!(pruned.kept, 1);
         assert!(cache.lookup::<SimReport>("current").is_some());
-        assert!(cache.verify(STALE).clean());
+        assert!(cache.verify().clean());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1130,10 +792,10 @@ mod tests {
             "conflicts keep the local value"
         );
 
-        // Exporting back is symmetric: only `mine` is new over there.
-        let exported = local.export_to(foreign.dir());
-        assert_eq!(exported.imported, 1);
-        assert_eq!(exported.conflicting, 1);
+        // Merging the other way is symmetric: only `mine` is new over there.
+        let back = foreign.merge_from(local.dir());
+        assert_eq!(back.imported, 1);
+        assert_eq!(back.conflicting, 1);
         assert_eq!(foreign.lookup::<SimReport>("mine"), Some(report(2.0)));
         let _ = std::fs::remove_dir_all(&local_dir);
         let _ = std::fs::remove_dir_all(&foreign_dir);

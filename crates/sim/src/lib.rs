@@ -44,7 +44,6 @@ mod arena;
 pub mod backend;
 pub mod cache;
 pub mod faults;
-pub mod federate;
 pub mod metrics;
 mod observe;
 pub mod pool;
@@ -60,14 +59,12 @@ pub use backend::{
     BackendKind, ExecBackend, LiveBackend, LiveOutcome, SimBackend, LIVE_ITERS_PER_HOUR,
 };
 pub use cache::{
-    CacheStats, ClaimAttempt, ClaimGuard, ClaimInfo, MergeReport, PruneReport, ReportCache,
-    VerifyIssue, VerifyReport, SCHEMA_VERSION,
+    CacheStats, MergeReport, PruneReport, ReportCache, VerifyIssue, VerifyReport, SCHEMA_VERSION,
 };
 pub use eva_engine::{derive_seed, EventEngine, RngStreams, Scheduled, SimEvent};
 pub use faults::{FaultAction, FaultEvent, FaultPlan, FaultRegime, FaultSpec};
-pub use federate::{claim_stale_deadline, fed_rank, join_workers, worker_role, Federation};
 pub use metrics::{CdfPoint, MetricsRegistry, MetricsSnapshot, SimReport};
-pub use pool::{CellPool, ClaimStride, ClaimTiming, PoolStats, RunPlan};
+pub use pool::{CellPool, PoolStats, RunPlan};
 pub use report::{splice, PartitionAudit, SplicedReport, EXACT_METRICS, INEXACT_METRICS};
 pub use runner::{run_recorded, run_simulation, InterferenceSpec, SchedulerKind, SimConfig};
 pub use script::{ExecAction, ExecActionKind, ExecScript};

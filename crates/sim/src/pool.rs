@@ -21,48 +21,10 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{ClaimAttempt, ReportCache};
-
-/// The two timing knobs of a federated run: when a peer's claim counts
-/// as stale (stealable), and how often to re-poll the cache while
-/// waiting on a live peer.
-#[derive(Debug, Clone, Copy)]
-pub struct ClaimTiming {
-    pub stale: Duration,
-    pub poll: Duration,
-}
-
-/// Where a federated process starts its phase-1 sweep of the
-/// longest-first claim order. With every process starting at index 0
-/// the whole fleet races for the same head cells, and most early
-/// `try_claim`s land on a peer's fresh claim — a *contested* attempt
-/// that burns a filesystem round-trip and defers the cell to phase 2.
-/// Striding rank `r` of `p` processes to offset `n·r/p` spreads the
-/// fleet across disjoint prefixes of the order; each sweep still visits
-/// all `n` entries (indices wrap mod `n`), so peer publication,
-/// stealing, and phase 2 behave exactly as before.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClaimStride {
-    /// This process's 0-based rank in the fleet (0 = coordinator).
-    pub rank: usize,
-    /// Total processes sweeping the shared cache (`< 2` disables
-    /// striding).
-    pub procs: usize,
-}
-
-impl ClaimStride {
-    /// Starting index into a claim order of length `n`.
-    pub fn offset(&self, n: usize) -> usize {
-        if n == 0 || self.procs < 2 {
-            return 0;
-        }
-        n * self.rank.min(self.procs - 1) / self.procs
-    }
-}
+use crate::cache::ReportCache;
 
 /// What a pool run did: logical cells, unique representatives, and how
 /// many representatives were actually executed vs served from the cache.
@@ -76,15 +38,6 @@ pub struct PoolStats {
     pub executed: usize,
     /// Representatives served from the persistent cache.
     pub cache_hits: usize,
-    /// Representatives published by a peer process during a federated
-    /// run (they were missing when this process planned, and appeared in
-    /// the cache while it executed). Always 0 outside federation.
-    pub peer: usize,
-    /// Phase-1 claim attempts that found a live peer already holding the
-    /// claim — wasted filesystem round-trips that defer the cell to
-    /// phase 2. [`ClaimStride`] prefix biasing exists to drive this
-    /// down. Always 0 outside federation.
-    pub contested: usize,
 }
 
 impl PoolStats {
@@ -94,20 +47,12 @@ impl PoolStats {
         self.unique > 0 && self.executed == 0
     }
 
-    /// One-line human summary, e.g. `5 unique of 8 cells: 2 simulated, 3 cached`
-    /// (federated runs append `, N from peers`).
+    /// One-line human summary, e.g. `5 unique of 8 cells: 2 simulated, 3 cached`.
     pub fn summary(&self) -> String {
-        let mut line = format!(
+        format!(
             "{} unique of {} cells: {} simulated, {} cached",
             self.unique, self.total, self.executed, self.cache_hits
-        );
-        if self.peer > 0 {
-            line.push_str(&format!(", {} from peers", self.peer));
-        }
-        if self.contested > 0 {
-            line.push_str(&format!(", {} contested", self.contested));
-        }
-        line
+        )
     }
 }
 
@@ -282,160 +227,6 @@ impl CellPool {
             unique: plan.unique_count(),
             executed: executed.into_inner(),
             cache_hits: cache_hits.into_inner(),
-            peer: 0,
-            contested: 0,
-        };
-        (results, from_cache, stats)
-    }
-
-    /// [`CellPool::run_flagged`] for a **federated** run: several
-    /// processes share one cache dir and divide the representatives
-    /// between them by claiming (see [`ReportCache::try_claim`]).
-    ///
-    /// Phase 1 sweeps the longest-first order on this pool's threads,
-    /// starting from this process's [`ClaimStride`] offset (wrapping mod
-    /// the order length, so coverage is unchanged): cached
-    /// representatives hit as usual, unclaimed ones are claimed,
-    /// executed, published, and released; representatives claimed by a
-    /// peer are left pending (counted as `contested`). Phase 2 settles
-    /// the pending ones — each is either published by its peer (a `peer`
-    /// hit) or its claim goes stale/dead and this process steals and
-    /// runs it, so a killed worker never wedges the run.
-    ///
-    /// The merged output is **byte-identical** to [`CellPool::run_flagged`]
-    /// with the same cache for any process count: results come from the
-    /// cache's deterministic serialization either way, and merging in
-    /// logical cell order erases scheduling entirely. Per-cell flags
-    /// report `true` for everything this process did not compute
-    /// (cache + peer).
-    // Eight closure/config inputs mirror `run_flagged` plus the two
-    // federation knobs; bundling them would only obscure the call sites.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_federated<R>(
-        &self,
-        count: usize,
-        fingerprint: &(dyn Fn(usize) -> String + Sync),
-        cost: &(dyn Fn(usize) -> u64 + Sync),
-        cache: &ReportCache,
-        timing: ClaimTiming,
-        stride: ClaimStride,
-        run: &(dyn Fn(usize) -> R + Sync),
-    ) -> (Vec<R>, Vec<bool>, PoolStats)
-    where
-        R: Clone + Send + Serialize + Deserialize,
-    {
-        let plan = RunPlan::build(count, fingerprint, cost);
-        let slots: Vec<Mutex<Option<(R, bool)>>> = (0..count).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let executed = AtomicUsize::new(0);
-        let cache_hits = AtomicUsize::new(0);
-        let peer = AtomicUsize::new(0);
-        let contested = AtomicUsize::new(0);
-        let offset = stride.offset(plan.order.len());
-
-        // Phase 1: claim-or-skip sweep over the longest-first order,
-        // rotated to this process's stride offset.
-        let workers = self.threads.min(plan.order.len()).max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= plan.order.len() {
-                        break;
-                    }
-                    let i = plan.order[(offset + k) % plan.order.len()];
-                    let key = &plan.keys[i];
-                    if let Some(hit) = cache.lookup::<R>(key) {
-                        cache_hits.fetch_add(1, Ordering::Relaxed);
-                        *slots[i].lock().unwrap() = Some((hit, true));
-                        continue;
-                    }
-                    match cache.try_claim(key, timing.stale) {
-                        ClaimAttempt::Acquired(guard) => {
-                            // A peer may have published between the miss
-                            // and the claim; don't redo its work.
-                            let result = match cache.lookup::<R>(key) {
-                                Some(hit) => {
-                                    peer.fetch_add(1, Ordering::Relaxed);
-                                    (hit, true)
-                                }
-                                None => {
-                                    executed.fetch_add(1, Ordering::Relaxed);
-                                    let fresh = run(i);
-                                    cache.store(key, &fresh);
-                                    (fresh, false)
-                                }
-                            };
-                            guard.release();
-                            *slots[i].lock().unwrap() = Some(result);
-                        }
-                        // A live peer is on it — settle in phase 2.
-                        ClaimAttempt::Held(_) => {
-                            contested.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-
-        // Phase 2: wait out (or steal) the representatives peers claimed.
-        for &i in &plan.order {
-            if slots[i].lock().unwrap().is_some() {
-                continue;
-            }
-            let key = &plan.keys[i];
-            let result = loop {
-                if let Some(hit) = cache.lookup::<R>(key) {
-                    peer.fetch_add(1, Ordering::Relaxed);
-                    break (hit, true);
-                }
-                match cache.try_claim(key, timing.stale) {
-                    ClaimAttempt::Acquired(guard) => {
-                        let result = match cache.lookup::<R>(key) {
-                            Some(hit) => {
-                                peer.fetch_add(1, Ordering::Relaxed);
-                                (hit, true)
-                            }
-                            None => {
-                                executed.fetch_add(1, Ordering::Relaxed);
-                                let fresh = run(i);
-                                cache.store(key, &fresh);
-                                (fresh, false)
-                            }
-                        };
-                        guard.release();
-                        break result;
-                    }
-                    ClaimAttempt::Held(_) => std::thread::sleep(timing.poll),
-                }
-            };
-            *slots[i].lock().unwrap() = Some(result);
-        }
-
-        let representatives: Vec<Option<(R, bool)>> = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("no worker panicked holding a slot lock")
-            })
-            .collect();
-        let (results, from_cache): (Vec<R>, Vec<bool>) = plan
-            .rep_of
-            .iter()
-            .map(|&rep| {
-                let (result, cached) = representatives[rep]
-                    .as_ref()
-                    .expect("every representative cell was claimed and completed");
-                (result.clone(), *cached)
-            })
-            .unzip();
-        let stats = PoolStats {
-            total: count,
-            unique: plan.unique_count(),
-            executed: executed.into_inner(),
-            cache_hits: cache_hits.into_inner(),
-            peer: peer.into_inner(),
-            contested: contested.into_inner(),
         };
         (results, from_cache, stats)
     }
@@ -447,19 +238,6 @@ mod tests {
 
     fn ident(i: usize) -> String {
         format!("cell-{i}")
-    }
-
-    #[test]
-    fn stride_offsets_partition_the_order() {
-        let s = |rank| ClaimStride { rank, procs: 4 };
-        assert_eq!(s(0).offset(8), 0);
-        assert_eq!(s(1).offset(8), 2);
-        assert_eq!(s(3).offset(8), 6);
-        // Out-of-fleet ranks clamp to the last stripe.
-        assert_eq!(s(9).offset(8), 6);
-        // Unfederated runs and empty orders never stride.
-        assert_eq!(ClaimStride::default().offset(8), 0);
-        assert_eq!(s(2).offset(0), 0);
     }
 
     #[test]
@@ -568,115 +346,5 @@ mod tests {
         assert_eq!(plan.keys.len(), 6);
         assert_eq!(plan.keys[0], "group-0");
         assert_eq!(plan.keys[plan.rep_of[2]], plan.keys[2]);
-    }
-
-    const STALE: Duration = Duration::from_secs(600);
-    const TIMING: ClaimTiming = ClaimTiming {
-        stale: STALE,
-        poll: Duration::from_millis(5),
-    };
-
-    fn fed_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("eva-pool-fed-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn federated_alone_matches_plain_run_and_leaves_no_claims() {
-        let dir = fed_dir("alone");
-        let cache = ReportCache::new(&dir);
-        let run = |i: usize| (i as u64) * 7;
-        let pool = CellPool::new(2);
-        let (fed, flags, stats) =
-            pool.run_federated(5, &ident, &|_| 1, &cache, TIMING, ClaimStride::default(), &run);
-        let (plain, _) = CellPool::new(2).run(5, &ident, &|_| 1, None, &run);
-        assert_eq!(fed, plain);
-        assert_eq!(flags, vec![false; 5]);
-        assert_eq!(stats.executed, 5);
-        assert_eq!(stats.peer, 0);
-        assert!(!stats.summary().contains("from peers"));
-        // No claim files survive a completed run.
-        let claims = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().extension().is_some_and(|x| x == "claim"))
-            .count();
-        assert_eq!(claims, 0);
-        // Warm federated rerun is pure cache.
-        let (warm, flags, stats) =
-            pool.run_federated(5, &ident, &|_| 1, &cache, TIMING, ClaimStride::default(), &run);
-        assert_eq!(warm, fed);
-        assert_eq!(flags, vec![true; 5]);
-        assert!(stats.all_cached());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn federated_steals_dead_holders_claim() {
-        let dir = fed_dir("steal");
-        let cache = ReportCache::new(&dir);
-        // A claim from a pid that cannot exist wedges nothing: the run
-        // steals it and computes the cell itself.
-        std::fs::create_dir_all(&dir).unwrap();
-        let host = std::fs::read_to_string("/proc/sys/kernel/hostname")
-            .map(|s| s.trim().to_string())
-            .unwrap_or_else(|_| "?".to_string());
-        std::fs::write(
-            cache.claim_path("cell-1"),
-            format!("{{\"pid\":4294967295,\"host\":\"{host}\",\"ts_ms\":1,\"key\":\"cell-1\"}}"),
-        )
-        .unwrap();
-        let (results, _, stats) = CellPool::new(2).run_federated(
-            3,
-            &ident,
-            &|_| 1,
-            &cache,
-            TIMING,
-            ClaimStride::default(),
-            &|i| (i as u64) * 3,
-        );
-        assert_eq!(results, vec![0, 3, 6]);
-        assert_eq!(stats.executed, 3);
-        assert!(cache.read_claim("cell-1").is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn federated_waits_for_a_live_peer_to_publish() {
-        let dir = fed_dir("peer");
-        let cache = ReportCache::new(&dir);
-        // A live claim (our own pid, held by the test) makes the run
-        // wait; "the peer" publishes from another thread and releases.
-        let guard = match cache.try_claim("cell-0", STALE) {
-            crate::cache::ClaimAttempt::Acquired(g) => g,
-            crate::cache::ClaimAttempt::Held(_) => panic!("fresh claim held"),
-        };
-        let publisher = {
-            let cache = cache.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(40));
-                cache.store("cell-0", &123u64);
-                guard.release();
-            })
-        };
-        let (results, flags, stats) = CellPool::new(2).run_federated(
-            1,
-            &ident,
-            &|_| 1,
-            &cache,
-            TIMING,
-            ClaimStride::default(),
-            &|_| -> u64 { unreachable!("the peer owns this cell") },
-        );
-        publisher.join().unwrap();
-        assert_eq!(results, vec![123u64]);
-        assert_eq!(flags, vec![true]);
-        assert_eq!(stats.peer, 1);
-        assert_eq!(stats.executed, 0);
-        // Phase 1 found the peer's live claim once before settling.
-        assert_eq!(stats.contested, 1);
-        assert!(stats.summary().ends_with("1 from peers, 1 contested"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

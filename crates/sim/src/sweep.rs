@@ -41,7 +41,6 @@ use eva_workloads::{ShardMeta, ShardPolicy, TraceHandle};
 use crate::backend::BackendKind;
 use crate::cache::ReportCache;
 use crate::faults::FaultSpec;
-use crate::federate::{worker_role, Federation};
 use crate::metrics::SimReport;
 use crate::pool::{CellPool, PoolStats, RunPlan};
 use crate::report::{splice, PartitionAudit, SplicedReport};
@@ -671,7 +670,6 @@ impl Experiment {
 pub struct SweepRunner {
     threads: usize,
     cache: Option<ReportCache>,
-    federation: Option<Federation>,
 }
 
 impl SweepRunner {
@@ -681,7 +679,6 @@ impl SweepRunner {
         SweepRunner {
             threads: CellPool::new(threads).threads(),
             cache: None,
-            federation: None,
         }
     }
 
@@ -690,18 +687,6 @@ impl SweepRunner {
     /// run (or the next experiment sharing the cell).
     pub fn with_cache(mut self, cache: ReportCache) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Federates the sweep across processes (see [`crate::federate`]):
-    /// the run claims representatives via the attached cache dir and
-    /// settles cells peers claimed, merging byte-identically to a
-    /// single-process run. Requires a cache ([`SweepRunner::with_cache`])
-    /// — without one the runner warns and executes locally. Spawning of
-    /// the `procs - 1` worker processes happens on the first federated
-    /// run ([`Federation::ensure_workers`]).
-    pub fn with_federation(mut self, federation: Federation) -> Self {
-        self.federation = Some(federation);
         self
     }
 
@@ -739,30 +724,8 @@ impl SweepRunner {
             let cfg = grid.cell_config(cell);
             cell.backend.backend().run(&cfg)
         };
-        let federation = self
-            .federation
-            .as_ref()
-            .filter(|f| f.procs() > 1 || worker_role());
-        let (reports, stats) = match (federation, self.cache.as_ref()) {
-            (Some(fed), Some(cache)) => {
-                fed.ensure_workers();
-                let (reports, _, stats) = pool.run_federated(
-                    cells.len(),
-                    &fingerprint,
-                    &cost,
-                    cache,
-                    fed.claim_timing(),
-                    fed.claim_stride(),
-                    &run,
-                );
-                (reports, stats)
-            }
-            (Some(_), None) => {
-                eprintln!("warning: federation needs a cache dir; running in-process");
-                pool.run(cells.len(), &fingerprint, &cost, None, &run)
-            }
-            (None, cache) => pool.run(cells.len(), &fingerprint, &cost, cache, &run),
-        };
+        let (reports, stats) =
+            pool.run(cells.len(), &fingerprint, &cost, self.cache.as_ref(), &run);
         let result = SweepResult {
             cells: cells
                 .iter()
@@ -1064,23 +1027,6 @@ mod tests {
         let back: CellKey = serde_json::from_str(&json).unwrap();
         assert_eq!(plain[0].key, back);
         assert!(back.shard.is_none());
-    }
-
-    #[test]
-    fn federated_coordinator_alone_matches_plain_run() {
-        // procs = 1 federates nothing; the claim protocol itself is
-        // covered by pool tests and tests/federated_sweep.rs drives real
-        // multi-process runs through the CLI binary.
-        let dir = std::env::temp_dir().join(format!("eva-sweep-fed-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let grid = tiny_grid();
-        let plain = SweepRunner::new(2).run(&grid);
-        let fed = SweepRunner::new(2)
-            .with_cache(ReportCache::new(&dir))
-            .with_federation(Federation::new(1))
-            .run(&grid);
-        assert_eq!(plain.to_json_pretty(), fed.to_json_pretty());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

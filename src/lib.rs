@@ -37,13 +37,10 @@ pub mod prelude {
     pub use eva_cloud::{Catalog, CloudProvider, DelayModel, FidelityMode};
     pub use eva_core::{EvaConfig, EvaScheduler, Plan, Scheduler, SchedulerContext, TaskSnapshot};
     pub use eva_sim::{
-        claim_stale_deadline, join_workers, run_recorded, run_simulation, serve, worker_role,
-        BackendKind, CacheStats, CellPool, ClaimStride, ClusterSim, ExecBackend, Experiment,
-        FaultPlan,
-        FaultRegime, FaultSpec, Federation, LiveBackend, LiveOutcome, MergeReport,
-        MetricsRegistry, MetricsSnapshot, PartitionAudit,
-        PoolStats, PruneReport, ReportCache, SchedulerKind, ServeConfig, ServeOutcome,
-        SimBackend, SimConfig, SimReport,
+        run_recorded, run_simulation, serve, BackendKind, CacheStats, CellPool, ClusterSim,
+        ExecBackend, Experiment, FaultPlan, FaultRegime, FaultSpec, LiveBackend, LiveOutcome,
+        MergeReport, MetricsRegistry, MetricsSnapshot, PartitionAudit, PoolStats, PruneReport,
+        ReportCache, SchedulerKind, ServeConfig, ServeOutcome, SimBackend, SimConfig, SimReport,
         SplicedOutcome, SplicedResult, SweepArtifact, SweepGrid, SweepResult, SweepRunner,
         VerifyReport, SCHEMA_VERSION,
     };

@@ -8,7 +8,7 @@
 //!              [--period MINS] [--faults REGIME[:INTENSITY]] [--threads N]
 //! eva sweep    [--jobs N] [--rate JOBS_PER_HR] [--durations ...]
 //!              [--schedulers A,B,..] [--seeds S1,S2,..]
-//!              [--backend sim|live|sim,live] [--threads N] [--procs N]
+//!              [--backend sim|live|sim,live] [--threads N]
 //!              [--faults REGIME[:INTENSITY]]
 //!              [--shard N|auto[:JOBS]] [--cache] [--no-cache]
 //!              [--cache-dir DIR] [--period MINS] [--json FILE]
@@ -17,15 +17,13 @@
 //!              [--duration HOURS] [--metrics-every SECS] [--max-jobs N]
 //! eva cache    stats|verify [--cache-dir DIR]
 //! eva cache    prune [--max-age DAYS] [--keep-retired] [--cache-dir DIR]
-//! eva cache    import|merge SRC [--cache-dir DIR]
-//! eva cache    export DEST [--cache-dir DIR]
+//! eva cache    merge SRC [--cache-dir DIR]
 //! eva workloads        # print the Table 7 workload catalog
 //! eva catalog          # print the 21-type AWS instance catalog
 //! ```
 //!
-//! `--procs N` federates the sweep over N processes claiming cells from
-//! the shared cache dir; merged output stays byte-identical to
-//! `--procs 1`.
+//! A sweep runs in one process on `--threads N` workers; its merged
+//! output is byte-identical for any thread count and cache state.
 
 use std::process::ExitCode;
 
@@ -93,14 +91,10 @@ struct SweepArgs {
     /// for density-aware planning with a per-window job budget.
     shard: Option<ShardPolicy>,
     /// Whether the persistent report cache is consulted (CLI default:
-    /// off; `--cache`, `--cache-dir`, or `--procs > 1` turns it on).
+    /// off; `--cache` or `--cache-dir` turns it on).
     cache: bool,
     /// Cache directory (`results/cache` when unset).
     cache_dir: Option<String>,
-    /// Total processes the sweep federates over (1 = in-process only).
-    /// `> 1` spawns `procs - 1` workers that claim cells from the shared
-    /// cache dir; the merged output is byte-identical either way.
-    procs: usize,
 }
 
 impl Default for SweepArgs {
@@ -119,7 +113,6 @@ impl Default for SweepArgs {
             shard: None,
             cache: false,
             cache_dir: None,
-            procs: 1,
         }
     }
 }
@@ -208,8 +201,8 @@ struct CacheArgs {
 enum CacheAction {
     /// Entry/schema/producer breakdown.
     Stats,
-    /// Re-hash entries against stored keys; report orphaned temps and
-    /// leftover claims. Exits non-zero unless the cache is clean.
+    /// Re-hash entries against stored keys; report orphaned temps.
+    /// Exits non-zero unless the cache is clean.
     Verify,
     /// Remove retired-schema entries (unless `keep_retired`), entries
     /// older than `max_age_days`, corrupt entries, and stale litter.
@@ -217,10 +210,8 @@ enum CacheAction {
         max_age_days: Option<f64>,
         keep_retired: bool,
     },
-    /// Union a foreign cache dir into this one (`merge` is an alias).
-    Import { src: String },
-    /// Union this cache into a foreign dir.
-    Export { dest: String },
+    /// Union a foreign cache dir into this one.
+    Merge { src: String },
 }
 
 /// Parses arguments (exposed for testing).
@@ -245,7 +236,6 @@ fn parse_sim_args<'a>(
     sweep: bool,
 ) -> Result<SweepArgs, String> {
     let mut args = SweepArgs::default();
-    let mut no_cache = false;
     while let Some(flag) = it.next() {
         let mut value = || {
             it.next()
@@ -297,31 +287,14 @@ fn parse_sim_args<'a>(
             "--no-cache" if sweep => {
                 args.cache = false;
                 args.cache_dir = None;
-                no_cache = true;
             }
             "--cache-dir" if sweep => {
                 args.cache_dir = Some(value()?);
                 args.cache = true;
             }
-            "--procs" if sweep => {
-                args.procs = value()?.parse().map_err(|e| format!("--procs: {e}"))?;
-                if args.procs == 0 {
-                    return Err("--procs: must be at least 1".into());
-                }
-            }
             "--json" => args.sim.json = Some(value()?),
             other => return Err(format!("unknown flag `{other}`")),
         }
-    }
-    if args.procs > 1 {
-        if no_cache {
-            return Err(
-                "--procs: federated sweeps coordinate through the cache dir; drop --no-cache"
-                    .into(),
-            );
-        }
-        // Federation needs the cache as its coordination substrate.
-        args.cache = true;
     }
     Ok(args)
 }
@@ -375,7 +348,7 @@ fn parse_serve_args<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<Serv
 fn parse_cache_args<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<CacheArgs, String> {
     let action = it
         .next()
-        .ok_or("cache needs an action: stats, verify, prune, import, merge, export")?;
+        .ok_or("cache needs an action: stats, verify, prune, merge")?;
     let mut dir: Option<String> = None;
     let mut operand: Option<String> = None;
     let mut max_age_days: Option<f64> = None;
@@ -402,11 +375,6 @@ fn parse_cache_args<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<Cach
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    let need_operand = |what: &str| {
-        operand
-            .clone()
-            .ok_or_else(|| format!("cache {action} needs a {what} directory"))
-    };
     let action = match action.as_str() {
         "stats" | "verify" | "prune" if operand.is_some() => {
             return Err(format!(
@@ -420,15 +388,12 @@ fn parse_cache_args<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<Cach
             max_age_days,
             keep_retired,
         },
-        "import" | "merge" => CacheAction::Import {
-            src: need_operand("source")?,
-        },
-        "export" => CacheAction::Export {
-            dest: need_operand("destination")?,
+        "merge" => CacheAction::Merge {
+            src: operand.ok_or("cache merge needs a source directory")?,
         },
         other => {
             return Err(format!(
-                "unknown cache action `{other}` (stats, verify, prune, import, merge, export)"
+                "unknown cache action `{other}` (stats, verify, prune, merge)"
             ))
         }
     };
@@ -463,10 +428,10 @@ fn run(cli: Cli) -> Result<(), String> {
                 "eva — cost-efficient cloud-based cluster scheduling (EuroSys '25 reproduction)\n\n\
                  USAGE:\n  eva simulate [--jobs N] [--rate J/HR] [--scheduler NAME] [--durations alibaba|gavel] [--seed N] [--period MINS] [--faults REGIME[:INT]] [--threads N] [--json FILE]\n  \
                  eva compare  [--jobs N] [--rate J/HR] [--durations ...] [--seed N] [--period MINS] [--faults REGIME[:INT]] [--threads N]\n  \
-                 eva sweep    [--jobs N] [--rate J/HR] [--durations ...] [--schedulers A,B,..] [--seeds S1,S2,..] [--backend sim|live|sim,live] [--faults REGIME[:INT]] [--threads N] [--procs N] [--shard N|auto[:JOBS]] [--cache] [--no-cache] [--cache-dir DIR] [--period MINS] [--json FILE]\n  \
+                 eva sweep    [--jobs N] [--rate J/HR] [--durations ...] [--schedulers A,B,..] [--seeds S1,S2,..] [--backend sim|live|sim,live] [--faults REGIME[:INT]] [--threads N] [--shard N|auto[:JOBS]] [--cache] [--no-cache] [--cache-dir DIR] [--period MINS] [--json FILE]\n  \
                  eva serve    --source synthetic:RATE|trace:PATH|stdin [--scheduler NAME] [--seed N] [--period MINS] [--duration HOURS] [--metrics-every SECS] [--max-jobs N]\n  \
                  eva cache    stats|verify|prune [--max-age DAYS] [--keep-retired] [--cache-dir DIR]\n  \
-                 eva cache    import|merge SRC | export DEST [--cache-dir DIR]\n  \
+                 eva cache    merge SRC [--cache-dir DIR]\n  \
                  eva workloads\n  eva catalog\n\n\
                  SCHEDULERS: {}\n  BACKENDS: {} (`--backend sim,live` adds a grid axis: live cells\n\
                  replay the schedule through the real master/worker runtime)\n  \
@@ -490,19 +455,14 @@ fn run(cli: Cli) -> Result<(), String> {
                  `--cache` / `--cache-dir DIR` memoize cell reports on disk (default\n\
                  DIR results/cache, shared with the exp_* binaries, keyed by trace\n\
                  content + all knobs + code schema version); a warm rerun simulates\n\
-                 zero cells. `--no-cache` is the CLI default.\n\n\
-                 `--procs N` federates the sweep over N processes: the coordinator\n\
-                 spawns N-1 workers that claim unclaimed cells longest-first via\n\
-                 atomic claim files in the cache dir, publish into the cache, and\n\
-                 exit; the coordinator merges in cell order, so results and --json\n\
-                 bytes are identical to --procs 1. Claims are stealable after\n\
-                 EVA_CLAIM_STALE_SECS (600) — a killed worker never wedges a run.\n\
-                 Implies --cache. `eva cache` manages the dir: stats/verify audit\n\
-                 entries (re-hash against stored keys, report orphaned temps and\n\
-                 claims), prune removes retired-schema/over-age/corrupt entries,\n\
-                 import/merge/export union cache dirs (e.g. rsync'd from another\n\
-                 host). Entries carry a `producer` stamp naming the binary that\n\
-                 first computed each cell.",
+                 zero cells. `--no-cache` is the CLI default. Concurrent sweeps may\n\
+                 share one cache dir: writes are atomic renames of identical bytes.\n\n\
+                 `eva cache` manages the dir: stats/verify audit entries (re-hash\n\
+                 against stored keys, report orphaned temps), prune removes\n\
+                 retired-schema/over-age/corrupt entries, and merge unions a\n\
+                 foreign cache dir (e.g. rsync'd from another host) into this one.\n\
+                 Entries carry a `producer` stamp naming the binary that first\n\
+                 computed each cell.",
                 SchedulerKind::names().join(", "),
                 BackendKind::names().join(", "),
                 FaultRegime::names().join(", ")
@@ -590,11 +550,8 @@ fn run(cli: Cli) -> Result<(), String> {
                     .unwrap_or_else(|| "results/cache".to_string());
                 runner = runner.with_cache(ReportCache::new(dir));
             }
-            if args.procs > 1 || worker_role() {
-                runner = runner.with_federation(Federation::new(args.procs));
-            }
             println!(
-                "sweeping {} cells ({} schedulers × {} seeds × {} backends, {} jobs{}) on {} threads{}...",
+                "sweeping {} cells ({} schedulers × {} seeds × {} backends, {} jobs{}) on {} threads...",
                 grid.cell_count(),
                 args.schedulers.len(),
                 args.seeds.len(),
@@ -605,12 +562,7 @@ fn run(cli: Cli) -> Result<(), String> {
                 } else {
                     String::new()
                 },
-                runner.threads(),
-                if args.procs > 1 {
-                    format!(" × {} federated procs", args.procs)
-                } else {
-                    String::new()
-                }
+                runner.threads()
             );
             let (result, stats) = runner.run_with_stats(&grid);
             println!("cells: {}", stats.summary());
@@ -655,22 +607,17 @@ fn run(cli: Cli) -> Result<(), String> {
                 spliced
             });
             if let Some(path) = args.sim.json {
-                // Federation workers inherit the coordinator's argv; the
-                // coordinator alone owns the artifact file.
-                if !worker_role() {
-                    let json = match spliced {
-                        Some(spliced) => SweepArtifact {
-                            sweep: result,
-                            spliced,
-                        }
-                        .to_json_pretty(),
-                        None => result.to_json_pretty(),
-                    };
-                    std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
-                    println!("saved {path}");
-                }
+                let json = match spliced {
+                    Some(spliced) => SweepArtifact {
+                        sweep: result,
+                        spliced,
+                    }
+                    .to_json_pretty(),
+                    None => result.to_json_pretty(),
+                };
+                std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
+                println!("saved {path}");
             }
-            join_workers();
         }
         Command::Serve(args) => run_serve(args)?,
         Command::Cache(args) => run_cache(args)?,
@@ -745,7 +692,6 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
 /// `verify` report orphaned litter instead of silently removing it.
 fn run_cache(args: CacheArgs) -> Result<(), String> {
     let cache = ReportCache::with_schema(&args.dir, SCHEMA_VERSION);
-    let stale = claim_stale_deadline();
     match args.action {
         CacheAction::Stats => {
             let stats = cache.stats();
@@ -763,12 +709,12 @@ fn run_cache(args: CacheArgs) -> Result<(), String> {
             for (producer, n) in &stats.producers {
                 println!("  producer {producer:<24} {n}");
             }
-            if stats.temps > 0 || stats.claims > 0 {
-                println!("  litter: {} temp(s), {} claim(s)", stats.temps, stats.claims);
+            if stats.temps > 0 {
+                println!("  litter: {} temp(s)", stats.temps);
             }
         }
         CacheAction::Verify => {
-            let report = cache.verify(stale);
+            let report = cache.verify();
             println!(
                 "verified {} entries: {} valid ({} retired-schema), {} issue(s)",
                 report.entries,
@@ -782,9 +728,6 @@ fn run_cache(args: CacheArgs) -> Result<(), String> {
             for temp in &report.temps {
                 println!("  orphaned temp {temp}");
             }
-            for claim in &report.claims {
-                println!("  claim {claim}");
-            }
             if !report.clean() {
                 return Err("cache verify: not clean".into());
             }
@@ -796,24 +739,19 @@ fn run_cache(args: CacheArgs) -> Result<(), String> {
         } => {
             let max_age = max_age_days
                 .map(|days| std::time::Duration::from_secs_f64(days * 86_400.0));
-            let report = cache.prune(max_age, !keep_retired, stale);
+            let report = cache.prune(max_age, !keep_retired);
             println!(
-                "pruned: {} retired, {} over-age, {} corrupt, {} temp(s), {} claim(s); {} kept",
+                "pruned: {} retired, {} over-age, {} corrupt, {} temp(s); {} kept",
                 report.removed_retired,
                 report.removed_old,
                 report.removed_corrupt,
                 report.removed_temps,
-                report.removed_claims,
                 report.kept
             );
         }
-        CacheAction::Import { src } => {
+        CacheAction::Merge { src } => {
             let report = cache.merge_from(std::path::Path::new(&src));
-            print_merge(&format!("imported {src} into {}", args.dir), &report);
-        }
-        CacheAction::Export { dest } => {
-            let report = cache.export_to(std::path::Path::new(&dest));
-            print_merge(&format!("exported {} into {dest}", args.dir), &report);
+            print_merge(&format!("merged {src} into {}", args.dir), &report);
         }
     }
     Ok(())
@@ -1048,26 +986,9 @@ mod tests {
 
     #[test]
     fn parses_procs_flag() {
-        let Command::Sweep(args) = parse(&argv("sweep --procs 3")).unwrap().command else {
-            panic!()
-        };
-        assert_eq!(args.procs, 3);
-        assert!(args.cache, "--procs > 1 implies the cache");
-        let Command::Sweep(one) = parse(&argv("sweep --procs 1")).unwrap().command else {
-            panic!()
-        };
-        assert_eq!(one.procs, 1);
-        assert!(!one.cache, "--procs 1 leaves caching opt-in");
-        let Command::Sweep(plain) = parse(&argv("sweep")).unwrap().command else {
-            panic!()
-        };
-        assert_eq!(plain.procs, 1);
-        assert!(parse(&argv("sweep --procs 0")).is_err());
-        assert!(parse(&argv("sweep --procs abc")).is_err());
-        assert!(parse(&argv("simulate --procs 2")).is_err(), "sweep-only");
-        // Federation coordinates through the cache dir.
-        assert!(parse(&argv("sweep --procs 2 --no-cache")).is_err());
-        assert!(parse(&argv("sweep --no-cache --procs 2")).is_err());
+        // Sweeps run in one process; `--procs` is not a flag.
+        let err = parse(&argv("sweep --procs 2")).unwrap_err();
+        assert!(err.contains("unknown flag `--procs`"), "{err}");
     }
 
     #[test]
@@ -1099,35 +1020,22 @@ mod tests {
             }
         );
 
-        let Command::Cache(import) = parse(&argv("cache import /tmp/other")).unwrap().command
-        else {
-            panic!()
-        };
-        assert_eq!(
-            import.action,
-            CacheAction::Import {
-                src: "/tmp/other".into()
-            }
-        );
         let Command::Cache(merge) = parse(&argv("cache merge /tmp/other")).unwrap().command
         else {
             panic!()
         };
-        assert_eq!(merge.action, import.action, "merge is an alias of import");
-        let Command::Cache(export) = parse(&argv("cache export /tmp/dest")).unwrap().command
-        else {
-            panic!()
-        };
         assert_eq!(
-            export.action,
-            CacheAction::Export {
-                dest: "/tmp/dest".into()
+            merge.action,
+            CacheAction::Merge {
+                src: "/tmp/other".into()
             }
         );
 
         assert!(parse(&argv("cache")).is_err());
         assert!(parse(&argv("cache shred")).is_err());
-        assert!(parse(&argv("cache import")).is_err(), "import needs a dir");
+        assert!(parse(&argv("cache merge")).is_err(), "merge needs a dir");
+        assert!(parse(&argv("cache import /tmp/other")).is_err(), "merge is the only verb");
+        assert!(parse(&argv("cache export /tmp/other")).is_err(), "merge is the only verb");
         assert!(parse(&argv("cache stats extra")).is_err());
         assert!(parse(&argv("cache prune --max-age 0")).is_err());
         assert!(parse(&argv("cache stats --max-age 3")).is_err(), "prune-only");

@@ -50,7 +50,6 @@ fn help_lists_every_subcommand() {
         "--cache",
         "--no-cache",
         "--cache-dir",
-        "--procs",
     ] {
         assert!(stdout.contains(flag), "help does not mention `{flag}`");
     }

@@ -10,8 +10,11 @@
 //! (d) The fault axis is part of every fingerprint: a cached clean-run
 //!     cell can never be replayed for a faulted cell, and intensity is
 //!     part of the key, not just the regime.
+//! (e) Two `eva sweep` processes writing one cache dir at once agree
+//!     byte for byte and leave a clean cache behind.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use eva::prelude::*;
 use eva_cloud::FidelityMode;
@@ -167,4 +170,60 @@ fn trace_mutation_invalidates_entries() {
     assert_eq!(s2.executed, s2.unique);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `eva sweep` over a small 2-scheduler × 2-seed grid into `cache_dir`.
+fn eva_sweep(cache_dir: &Path, json: &Path) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_eva"));
+    cmd.args([
+        "sweep",
+        "--jobs",
+        "10",
+        "--seeds",
+        "1,2",
+        "--schedulers",
+        "eva,stratus",
+        "--threads",
+        "2",
+        "--cache-dir",
+    ])
+    .arg(cache_dir)
+    .arg("--json")
+    .arg(json);
+    cmd
+}
+
+#[test]
+fn racing_coordinators_share_one_cache_dir() {
+    let root = tmp_dir("race");
+    let shared = root.join("cache");
+    let (json_a, json_b) = (root.join("a.json"), root.join("b.json"));
+    std::fs::create_dir_all(&root).unwrap();
+
+    // Two sweeps launched together publish every cell into one dir.
+    let mut a = eva_sweep(&shared, &json_a).spawn().unwrap();
+    let mut b = eva_sweep(&shared, &json_b).spawn().unwrap();
+    assert!(a.wait().unwrap().success());
+    assert!(b.wait().unwrap().success());
+
+    let bytes_a = std::fs::read(&json_a).unwrap();
+    assert!(!bytes_a.is_empty());
+    assert_eq!(
+        bytes_a,
+        std::fs::read(&json_b).unwrap(),
+        "racing sweeps disagreed"
+    );
+
+    let verify = Command::new(env!("CARGO_BIN_EXE_eva"))
+        .args(["cache", "verify", "--cache-dir"])
+        .arg(&shared)
+        .output()
+        .unwrap();
+    assert!(
+        verify.status.success(),
+        "cache verify not clean:\n{}{}",
+        String::from_utf8_lossy(&verify.stdout),
+        String::from_utf8_lossy(&verify.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&root);
 }
